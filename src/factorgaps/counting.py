@@ -37,10 +37,6 @@ from .sieve import (
     segment_factor_scan,
 )
 
-# Above this many candidates, C(m) switches from streaming factorizations
-# to marking window-prime multiples in a bitmap; both give identical counts.
-SIEVE_COUNT_THRESHOLD = 100_000
-
 
 @dataclass(frozen=True)
 class CountParams:
@@ -244,22 +240,6 @@ class WindowSet:
             for i in range(len(self.bases) - 1)
         )
 
-    def contains(self, q: int) -> bool:
-        """Is the prime q inside some window? Relies on the bases being a
-        wide chain, so at most the window of the largest base below q can
-        hold it."""
-        bases = self.bases
-        lo, hi = 0, len(bases)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if bases[mid] < q:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
-            return False
-        return boundary.le_power(q, bases[lo - 1], self.x, self.c)
-
     def window_primes(self, table: PrimeTable, cap: Optional[int] = None) -> np.ndarray:
         """All primes in any window, ascending (optionally capped)."""
         parts = [
@@ -282,38 +262,19 @@ def window_set(m: WideSquarefree, pars: CountParams) -> WindowSet:
     return WindowSet(x=pars.x, c=pars.c, bases=m.primes)
 
 
-def count_isolated_set(
-    m: WideSquarefree,
-    pars: CountParams,
-    table: PrimeTable,
-    strategy: Optional[str] = None,
-) -> int:
+def count_isolated_set(m: WideSquarefree, pars: CountParams, table: PrimeTable) -> int:
     """C(m) = #{ n <= x : every prime of m is isolated in n }.
 
     Such n are exactly m * v with v <= x/m and no prime factor of v in
     m's windows (v may share primes with m itself; only the windows
-    exclude). Two interchangeable strategies: "stream" factorizes every
-    candidate v, "sieve" marks multiples of the window primes; the
-    default picks by candidate count.
+    exclude), so C(m) is x/m minus the v marked as multiples of some
+    window prime.
     """
     limit = pars.x // m.m
-    ws = window_set(m, pars)
-    if strategy is None:
-        strategy = "sieve" if limit > SIEVE_COUNT_THRESHOLD else "stream"
-
-    if strategy == "sieve":
-        marked = np.zeros(limit + 1, dtype=bool)
-        for q in ws.window_primes(table, cap=limit):
-            marked[int(q) :: int(q)] = True
-        return int(limit - np.count_nonzero(marked[1:]))
-
-    if strategy != "stream":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    count = 0
-    for fact in segment_factor_scan(1, limit + 1, table):
-        if not any(ws.contains(q) for q in fact.primes):
-            count += 1
-    return count
+    marked = np.zeros(limit + 1, dtype=bool)
+    for q in window_set(m, pars).window_primes(table, cap=limit):
+        marked[int(q) :: int(q)] = True
+    return int(limit - np.count_nonzero(marked[1:]))
 
 
 @dataclass(frozen=True)

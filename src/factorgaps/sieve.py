@@ -157,7 +157,10 @@ def segment_factor_scan(
     a: int,
     b: int,
     table: PrimeTable,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    # Python lists for a whole segment, some 300 bytes per integer, are
+    # built before the first record is yielded, so segments stay far
+    # smaller than the vectorized kernel's DEFAULT_SEGMENT_SIZE.
+    segment_size: int = 1 << 16,
 ) -> Iterator[Factorization]:
     """Yield the factorization of every n in [a, b), in order.
 

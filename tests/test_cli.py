@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from factorgaps import boundary
+from factorgaps import boundary, cli
 from factorgaps.cli import main, run_verification
 
 
@@ -102,9 +102,24 @@ def test_scan_totals_reconcile():
 
 
 def test_scan_worker_determinism():
-    rc1, a = run_cli("scan", "--min", "16", "--max", "300000", "--c", "1", "--workers", "1")
-    rc2, b = run_cli("scan", "--min", "16", "--max", "300000", "--c", "1", "--workers", "4")
+    # 65536-integer chunks split the range into 5, so 4 workers still fork
+    args = ("scan", "--min", "16", "--max", "300000", "--c", "1", "--segment-size", "65536")
+    rc1, a = run_cli(*args, "--workers", "1")
+    rc2, b = run_cli(*args, "--workers", "4")
     assert rc1 == rc2 == 0
+    assert a == b
+
+
+def test_scan_single_chunk_starts_no_pool(monkeypatch):
+    args = ("scan", "--min", "16", "--max", "300000", "--c", "1")
+    rc1, a = run_cli(*args, "--workers", "1")
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a one-chunk scan must not start worker processes")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    rc4, b = run_cli(*args, "--workers", "4")
+    assert rc1 == rc4 == 0
     assert a == b
 
 

@@ -213,25 +213,26 @@ def test_inner_count_examples(table_small, pars30):
     assert count_isolated_set(by_m[1], pars30, table_small) == 30
 
 
-def test_inner_count_strategies_agree(table_small, pars30):
+def test_inner_count_matches_oracle(table_small, pars30):
     for w in wide_squarefree_set(pars30, table_small):
-        a = count_isolated_set(w, pars30, table_small, strategy="stream")
-        b = count_isolated_set(w, pars30, table_small, strategy="sieve")
-        assert a == b == oracle.naive_chi_count(w.primes, 30, 1.0)
-    with pytest.raises(ValueError):
-        count_isolated_set(w, pars30, table_small, strategy="guess")
-
-
-def test_inner_count_auto_sieve_path(table_1e6):
-    # x/m large enough that the default picks the sieve; stream must agree
-    pars = make_params(150_001, 1.0)
-    members = wide_squarefree_set(pars, table_1e6)
-    one = next(w for w in members if w.m == 1)
-    two = next(w for w in members if w.m == 2)
-    for w in (one, two):
-        assert count_isolated_set(w, pars, table_1e6) == count_isolated_set(
-            w, pars, table_1e6, strategy="stream"
+        assert count_isolated_set(w, pars30, table_small) == oracle.naive_chi_count(
+            w.primes, 30, 1.0
         )
+
+
+def test_inner_count_matches_definition_at_150001(table_1e6):
+    # C(m) counted from the definition: every prime of m isolated in n
+    x = 150_001
+    pars = make_params(x, 1.0)
+    by_m = {w.m: w for w in wide_squarefree_set(pars, table_1e6)}
+    want = {1: 150_001, 2: 40_000, 3: 28_773, 5: 15_330}
+    ref = dict.fromkeys(want, 0)
+    for f in segment_factor_scan(1, x + 1, table_1e6):
+        for m in ref:
+            ref[m] += all_isolated(f, by_m[m].primes, pars)
+    assert ref == want
+    for m in want:
+        assert count_isolated_set(by_m[m], pars, table_1e6) == want[m]
 
 
 # ---------------------------------------------------------------- breakdown
