@@ -23,18 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isqrt
 from typing import Iterable, Optional
 
 import numpy as np
 
 from . import boundary
+from .gaps import _sieve_segment, _sieving_primes
 from .sieve import (
+    DEFAULT_SEGMENT_SIZE,
     Factorization,
     InsufficientTableError,
     PrimeTable,
+    factorize,
     primes_in_power_interval,
-    segment_factor_scan,
 )
 
 
@@ -98,10 +99,12 @@ def is_gap_form(fact: Factorization, pars: CountParams) -> bool:
 class DirectCounts:
     """N(x) evaluated from the definition, next to its gap-form variant.
 
-    The two predicates agree except on n >= 2 whose prime factors are
-    all small (their largest prime is isolated by default but the gap
-    form is satisfied); smooth_gap_count is exactly that overlap, so
-    n_direct + smooth_gap_count = n_direct_gapform.
+    n is counted iff it is gap-form and not smooth (n >= 2 with every
+    prime factor small). A small prime p of n is isolated iff it is the
+    largest or the next prime factor exceeds p**E; a non-small p can
+    never be followed by a factor q > p**E, since p > y gives
+    p**E > y**E = x >= q. Hence n_direct = n_direct_gapform -
+    smooth_gap_count, the number of gap-form n that are smooth.
     """
 
     n_direct: int
@@ -110,48 +113,37 @@ class DirectCounts:
 
 
 def direct_counts(pars: CountParams, table: PrimeTable) -> DirectCounts:
-    """Stream factorizations of 1..x and test both predicates verbatim."""
-    x, c = pars.x, pars.c
-    small_cache: dict[int, bool] = {}
-    close_cache: dict[tuple[int, int], bool] = {}
+    """Count gap-form and smooth gap-form n <= x with the segmented
+    sieve of the scan kernel; N(x) is their difference.
 
-    def small(p: int) -> bool:
-        v = small_cache.get(p)
-        if v is None:
-            v = small_cache[p] = boundary.le_root(p, x, c)
-        return v
-
-    def close(q: int, p: int) -> bool:
-        v = close_cache.get((p, q))
-        if v is None:
-            v = close_cache[(p, q)] = boundary.le_power(q, p, x, c)
-        return v
-
-    n_direct = 0
-    n_gapform = 0
-    n_smooth = 0
-    for fact in segment_factor_scan(1, x + 1, table):
-        primes = fact.primes
-        w = len(primes)
-
-        counted = True
-        for j in range(w):
-            p = primes[j]
-            if not small(p):
-                continue
-            if all(not close(q, p) for q in primes[j + 1 :]):
-                counted = False  # p is isolated in n
-                break
-        if counted:
-            n_direct += 1
-
-        if all(close(primes[j + 1], primes[j]) for j in range(w - 1)):
-            n_gapform += 1
-            if fact.n >= 2 and small(primes[-1]):
-                n_smooth += 1
+    n is gap-form iff omega <= 1 or its largest log ratio is at most E.
+    Ratios within TIE_EPS of E (every eligible n under
+    :func:`boundary.force_extended`) are re-decided exactly from the
+    factorization.
+    """
+    e = pars.gap_exp
+    yprimes = _small_primes(pars, table)
+    y = yprimes[-1] if yprimes else 1
+    primes, logs = _sieving_primes(table, pars.x + 1)
+    tie_eps = math.inf if boundary._FORCE_EXTENDED else boundary.TIE_EPS
+    n_gapform = n_smooth = 0
+    for lo in range(1, pars.x + 1, DEFAULT_SEGMENT_SIZE):
+        hi = min(lo + DEFAULT_SEGMENT_SIZE, pars.x + 1)
+        rem, omega, last_log, max_ratio = _sieve_segment(lo, hi, primes, logs)
+        eligible = omega >= 2
+        gapform = ~eligible | (max_ratio <= e)
+        for j in np.nonzero(eligible & (np.abs(max_ratio - e) < tie_eps))[0]:
+            gapform[j] = is_gap_form(factorize(lo + int(j), table), pars)
+        # The largest prime factor is rem if rem > 1, else the last sieved
+        # prime (n = 1 has neither: rem = 1, last_log = inf). Both sides of
+        # the log test are math.log of a prime, and logs of distinct primes
+        # differ by far more than an ulp, so it holds iff that prime <= y.
+        smooth = np.where(rem > 1, rem <= y, last_log <= math.log(y))
+        n_gapform += int(np.count_nonzero(gapform))
+        n_smooth += int(np.count_nonzero(gapform & smooth))
 
     return DirectCounts(
-        n_direct=n_direct,
+        n_direct=n_gapform - n_smooth,
         n_direct_gapform=n_gapform,
         smooth_gap_count=n_smooth,
     )

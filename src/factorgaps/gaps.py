@@ -175,13 +175,27 @@ def _normalize_ranges(ranges) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _scan_segment(lo, hi, thresholds, mode, range_point, small_primes, prime_logs):
-    """Vectorized scan of [lo, hi): per-integer gap stats via a segmented
-    sieve. Processing primes in increasing order means each integer sees
-    its distinct prime factors ascending, so the running ratio maximum
-    needs only the log of the previous prime factor. last_log starts at
-    +inf so a first factor's ratio update (lp / inf = 0) is a no-op and
-    no masking is needed."""
+def _sieving_primes(table: PrimeTable, b: int) -> tuple[list[int], list[float]]:
+    """The primes up to sqrt(b - 1) and their logs, for sieving below b."""
+    root = isqrt(b - 1)
+    if table.limit < root:
+        raise InsufficientTableError(
+            f"table limit {table.limit} < required sqrt bound {root}"
+        )
+    primes = [int(p) for p in table.primes[table.primes <= root]]
+    return primes, [math.log(p) for p in primes]
+
+
+def _sieve_segment(lo, hi, small_primes, prime_logs):
+    """Segmented sieve of [lo, hi) by the primes up to sqrt(hi - 1).
+
+    Returns per-integer arrays: rem, the cofactor left (1 or the largest
+    prime factor); omega; last_log, the log of the largest sieved prime
+    factor (+inf if none); and max_ratio, the largest ratio of logs of
+    consecutive distinct prime factors (0 when omega <= 1). Primes go in
+    increasing order, so each integer sees its factors ascending and the
+    running maximum needs only the previous factor's log; last_log starts
+    at +inf so a first factor's update (lp / inf = 0) is a no-op."""
     seglen = hi - lo
     dtype = np.int32 if hi - 1 <= 2**31 - 1 else np.int64
     rem = np.arange(lo, hi, dtype=dtype)
@@ -216,6 +230,13 @@ def _scan_segment(lo, hi, thresholds, mode, range_point, small_primes, prime_log
     # untouched slots have last_log = inf, so both drop out of the max.
     np.maximum(max_ratio, np.log(rem) / last_log, out=max_ratio)
     omega[rem > 1] += 1
+    return rem, omega, last_log, max_ratio
+
+
+def _scan_segment(lo, hi, thresholds, mode, range_point, small_primes, prime_logs):
+    """Vectorized scan of [lo, hi): per-integer gap stats from
+    :func:`_sieve_segment`, reduced to one :class:`ScanSummary`."""
+    _, omega, _, max_ratio = _sieve_segment(lo, hi, small_primes, prime_logs)
 
     eligible_mask = omega >= 2
     eligible = int(np.count_nonzero(eligible_mask))
@@ -249,7 +270,7 @@ def _scan_segment(lo, hi, thresholds, mode, range_point, small_primes, prime_log
         thresholds=thresholds,
         mode=mode,
         range_point=range_point,
-        total=seglen,
+        total=hi - lo,
         eligible=eligible,
         hist=hist,
         exceed=exceed,
@@ -296,19 +317,12 @@ def scan_range(
         raise ValueError(f"unknown mode {mode!r}")
     if not 1 <= segment_size <= MAX_SEGMENT_SIZE:
         raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_SIZE}]")
-    root = isqrt(b - 1)
-    if table.limit < root:
-        raise InsufficientTableError(
-            f"table limit {table.limit} < required sqrt bound {root}"
-        )
+    small_primes, prime_logs = _sieving_primes(table, b)
     thr = _normalize_thresholds(thresholds)
     if mode == MODE_PER_RANGE and range_point is None:
         range_point = b - 1
     if mode == MODE_PER_N:
         range_point = None
-
-    small_primes = [int(p) for p in table.primes[table.primes <= root]]
-    prime_logs = [math.log(p) for p in small_primes]
 
     total = empty_summary(thr, mode, range_point)
     for lo in range(a, b, segment_size):

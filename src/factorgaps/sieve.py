@@ -8,7 +8,7 @@ records, so this module is the only place that touches raw sieving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import floor, isqrt
 from typing import Iterator, Optional
 
 import numpy as np
@@ -218,17 +218,18 @@ def mobius(fact: Factorization) -> int:
 def primes_in_interval(lo: float, hi: float, table: PrimeTable) -> np.ndarray:
     """Primes q with lo < q <= hi, ascending.
 
-    ``lo`` and ``hi`` are real bounds; integer-vs-float comparisons are
-    exact, so no rounding can flip membership here. Power-shaped bounds
-    (q <= p**E) must go through :func:`primes_in_power_interval`, which
-    owns the tie handling.
+    ``lo`` and ``hi`` are real bounds. For integer q, q > lo iff
+    q > floor(lo) and q <= hi iff q <= floor(hi), so searching with the
+    floors is exact and keeps numpy from casting the whole table to
+    float on every call. Power-shaped bounds (q <= p**E) must go through
+    :func:`primes_in_power_interval`, which owns the tie handling.
     """
     if hi > table.limit:
         raise InsufficientTableError(
             f"interval end {hi} exceeds table limit {table.limit}"
         )
-    i = int(np.searchsorted(table.primes, lo, side="right"))
-    j = int(np.searchsorted(table.primes, hi, side="right"))
+    i = int(np.searchsorted(table.primes, floor(lo), side="right"))
+    j = int(np.searchsorted(table.primes, floor(hi), side="right"))
     return table.primes[i:j]
 
 

@@ -50,7 +50,7 @@ def test_count_vacuous_case():
 
 
 def test_count_guard():
-    rc, _ = run_cli("count", "--x", "20000000", "--c", "1")
+    rc, _ = run_cli("count", "--x", "200000000", "--c", "1")
     assert rc == 2
 
 
@@ -207,6 +207,15 @@ def test_verify_cli_exit_zero():
     assert rc == 0
     assert "OK:" in text
     assert "FAIL" not in text.split("OK:")[0].replace("FAILED", "")
+
+
+def test_verify_stdout_reproducible(capsys):
+    # elapsed time goes to stderr, so stdout depends on the inputs only
+    first = run_cli("verify", "--x-max", "30")
+    second = run_cli("verify", "--x-max", "30")
+    assert first == second
+    assert first[1].splitlines()[-1].endswith(" checks passed")
+    assert "verify took" in capsys.readouterr().err
 
 
 def test_verify_negative_control(monkeypatch):

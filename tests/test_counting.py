@@ -2,6 +2,7 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from factorgaps import (
@@ -150,6 +151,61 @@ def test_gapform_splits_exactly(table_small, x, c):
         if is_gap_form(fact, pars) and boundary.le_root(fact.largest_prime, x, c):
             smooth += 1
     assert smooth == d.smooth_gap_count
+
+
+def _definition_counts(x, c, table):
+    # gap-form and smooth gap-form n <= x, one factorization per n
+    pars = make_params(x, c)
+    gapform = smooth = 0
+    for n in range(1, x + 1):
+        fact = factorize(n, table)
+        if is_gap_form(fact, pars):
+            gapform += 1
+            smooth += n >= 2 and boundary.le_root(fact.largest_prime, x, c)
+    return gapform, smooth
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.integers(16, 3000), c=st.floats(0.3, 3.0))
+def test_direct_counts_match_definition(table_small, x, c):
+    d = direct_counts(make_params(x, c), table_small)
+    assert (d.n_direct_gapform, d.smooth_gap_count) == _definition_counts(
+        x, c, table_small
+    )
+    assert d.n_direct == oracle.naive_N(x, c)
+
+
+@pytest.mark.parametrize(
+    "x,p,q,want", [(3000, 2, 3, 395), (5000, 3, 7, 693), (2000, 5, 11, 266)]
+)
+def test_direct_counts_exact_at_constructed_ties(table_small, monkeypatch, x, p, q, want):
+    # c puts E on ln q / ln p, so every n whose largest log ratio comes
+    # from the pair (p, q) lands in the tie band of the float test
+    c = (math.log(q) / math.log(p)) / math.log(math.log(x))
+    pars = make_params(x, c)
+    assert abs(math.log(q) / math.log(p) - pars.gap_exp) < boundary.TIE_EPS
+
+    calls = []
+    le_power = boundary.le_power
+
+    def spy(*args):
+        calls.append(args[:2])
+        return le_power(*args)
+
+    monkeypatch.setattr(boundary, "le_power", spy)
+    fast = direct_counts(pars, table_small)
+    assert (q, p) in calls  # the tie band was re-decided exactly
+    with boundary.force_extended():
+        slow = direct_counts(pars, table_small)
+    assert fast == slow
+    assert fast.n_direct == oracle.naive_N(x, c) == want
+
+
+def test_direct_counts_1e6(table_1e6):
+    d = direct_counts(make_params(10**6, 1.0), table_1e6)
+    assert (d.n_direct, d.n_direct_gapform, d.smooth_gap_count) == (
+        238913, 320126, 81213
+    )
 
 
 # ---------------------------------------------------------------- the wide set
