@@ -26,6 +26,7 @@ from . import boundary, gaps, oracle
 from .counting import (
     count_isolated_set,
     inclusion_exclusion,
+    is_gap_form,
     make_params,
     tuple_reciprocal_sum,
     wide_squarefree_set,
@@ -328,7 +329,7 @@ def cmd_count(cfg: RunConfig, stdout) -> int:
                 "N_k": layer.count,
                 "poisson_ref": x / (c ** layer.k * math.factorial(layer.k)),
                 "S_k": s_k,
-                "tuple_ref": math.log(math.log(x)) ** layer.k
+                "tuple_ref": math.log(math.log(pars.small_prime_bound)) ** layer.k
                 / math.factorial(layer.k),
             }
         )
@@ -403,6 +404,15 @@ def run_verification(x_max: int = 2000, seed: int = DEFAULT_SEED):
                 f"identity x={x} c={c}",
                 bd.n_inclusion_exclusion == bd.n_direct == nv,
                 f"IE={bd.n_inclusion_exclusion} direct={bd.n_direct} naive={nv}",
+            )
+            # gap-form n <= x are those the per-range scan at x does not count
+            s = scan_range(16, x + 1, (c,), table, MODE_PER_RANGE, range_point=x)
+            low = sum(is_gap_form(factorize(n, table), pars) for n in range(1, 16))
+            _check(
+                results,
+                f"scan-count x={x} c={c}",
+                bd.n_direct_gapform == low + s.total - s.exceed[c],
+                f"gapform={bd.n_direct_gapform} scan={low + s.total - s.exceed[c]}",
             )
             sandwich = all(
                 (part >= bd.n_direct) if (k % 2 == 0) else (part <= bd.n_direct)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Optional
 
@@ -186,6 +187,25 @@ def _sieving_primes(table: PrimeTable, b: int) -> tuple[list[int], list[float]]:
     return primes, [math.log(p) for p in primes]
 
 
+PRESIEVE_PRIMES = (2, 3, 5, 7, 11, 13)  # their product is 30030
+
+
+@lru_cache(maxsize=16)  # keys: the 7 prefixes of PRESIEVE_PRIMES, 2 dtypes
+def _presieve_pattern(primes, logs, dtype):
+    """The kernel's state after the first powers of ``primes`` (prod, the
+    product of those dividing n, then omega, last_log, max_ratio) over one
+    period of n mod prod(primes) (Oliveira e Silva et al., Math. Comp. 2014)."""
+    n = math.prod(primes)
+    prod, omega = np.ones(n, dtype=dtype), np.zeros(n, dtype=np.int8)
+    last_log, max_ratio = np.full(n, np.inf), np.zeros(n)
+    for p, lp in zip(primes, logs):
+        np.maximum(max_ratio[::p], lp / last_log[::p], out=max_ratio[::p])
+        last_log[::p] = lp
+        omega[::p] += 1
+        prod[::p] *= p
+    return prod, omega, last_log, max_ratio
+
+
 def _sieve_segment(lo, hi, small_primes, prime_logs):
     """Segmented sieve of [lo, hi) by the primes up to sqrt(hi - 1).
 
@@ -195,27 +215,31 @@ def _sieve_segment(lo, hi, small_primes, prime_logs):
     consecutive distinct prime factors (0 when omega <= 1). Primes go in
     increasing order, so each integer sees its factors ascending and the
     running maximum needs only the previous factor's log; last_log starts
-    at +inf so a first factor's update (lp / inf = 0) is a no-op."""
+    at +inf so a first factor's update (lp / inf = 0) is a no-op. The
+    first powers of PRESIEVE_PRIMES come from a tiled pattern instead;
+    prod collects every sieved prime power dividing n, so rem = n // prod."""
     seglen = hi - lo
     dtype = np.int32 if hi - 1 <= 2**31 - 1 else np.int64
-    rem = np.arange(lo, hi, dtype=dtype)
-    omega = np.zeros(seglen, dtype=np.int8)
-    last_log = np.full(seglen, np.inf, dtype=np.float64)
-    max_ratio = np.zeros(seglen, dtype=np.float64)
-
     root = isqrt(hi - 1)
+    k = sum(p <= root for p in PRESIEVE_PRIMES)
+    pattern = _presieve_pattern(tuple(small_primes[:k]), tuple(prime_logs[:k]), dtype)
+    off = lo % pattern[0].size
+    tiled = (np.resize(np.roll(a, -off), seglen) for a in pattern)
+    prod, omega, last_log, max_ratio = tiled
+    buf = np.empty(seglen // PRESIEVE_PRIMES[-1] + 1)  # fits any stride p > 13
     for p, lp in zip(small_primes, prime_logs):
         if p > root:
             break
         start = (-lo) % p
         if start >= seglen:
             continue
-        rem[start::p] //= p
-        ll = last_log[start::p]
-        mr = max_ratio[start::p]
-        np.maximum(mr, lp / ll, out=mr)
-        ll[...] = lp
-        omega[start::p] += 1
+        if p > PRESIEVE_PRIMES[-1]:
+            ll = last_log[start::p]
+            mr = max_ratio[start::p]
+            np.maximum(mr, np.divide(lp, ll, out=buf[: ll.size]), out=mr)
+            ll[...] = lp
+            omega[start::p] += 1
+            prod[start::p] *= p
         # positions holding p^k are exactly the p^k strides, so higher
         # powers come out without any divisibility scan
         d = p * p
@@ -223,13 +247,14 @@ def _sieve_segment(lo, hi, small_primes, prime_logs):
             start_d = (-lo) % d
             if start_d >= seglen:
                 break
-            rem[start_d::d] //= p
+            prod[start_d::d] *= p
             d *= p
+    rem = np.arange(lo, hi, dtype=dtype) // prod
 
     # Surviving cofactors are prime; rem == 1 contributes log 1 = 0 and
     # untouched slots have last_log = inf, so both drop out of the max.
     np.maximum(max_ratio, np.log(rem) / last_log, out=max_ratio)
-    omega[rem > 1] += 1
+    omega += rem > 1
     return rem, omega, last_log, max_ratio
 
 
@@ -247,23 +272,28 @@ def _scan_segment(lo, hi, thresholds, mode, range_point, small_primes, prime_log
     if eligible:
         ratio = max_ratio[eligible_mask]
         gap = np.log(ratio)
-        n_el = (np.nonzero(eligible_mask)[0] + lo).astype(np.float64)
-        lnln = np.log(np.log(n_el))
-        centered = gap - np.log(lnln)  # ln ln ln n, reusing ln ln n
+        lnln = np.arange(lo, hi, dtype=np.float64)[eligible_mask]
+        np.log(np.log(lnln, out=lnln), out=lnln)
+        buf = np.log(lnln)  # ln ln ln n, reusing ln ln n
+        np.subtract(gap, buf, out=buf)
 
-        bins = np.floor((centered - HIST_LO) * HIST_INV_WIDTH).astype(np.int64)
-        np.clip(bins, -1, HIST_BINS, out=bins)
-        hist = np.bincount(bins + 1, minlength=HIST_BINS + 2).astype(np.int64)
+        buf -= HIST_LO
+        buf *= HIST_INV_WIDTH
+        np.clip(np.floor(buf, out=buf), -1, HIST_BINS, out=buf)
+        buf += 1  # slot 0 is the underflow
+        hist = np.bincount(buf.astype(np.int64), minlength=HIST_BINS + 2)
 
         for c in thresholds:
             if mode == MODE_PER_N:
-                bound = c * lnln
+                bound = np.multiply(c, lnln, out=buf)
             else:
                 bound = c * math.log(math.log(range_point))
             exceed[c] = int(np.count_nonzero(ratio > bound))
 
-        sum_fp = int(np.rint(gap * MOMENT_SCALE).astype(np.int64).sum())
-        sum_sq_fp = int(np.rint(gap * gap * MOMENT_SCALE).astype(np.int64).sum())
+        np.multiply(gap, MOMENT_SCALE, out=buf)
+        sum_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
+        np.multiply(np.multiply(gap, gap, out=buf), MOMENT_SCALE, out=buf)
+        sum_sq_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
 
     return ScanSummary(
         ranges=((lo, hi),),

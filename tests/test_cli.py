@@ -49,6 +49,15 @@ def test_count_vacuous_case():
     assert doc["N_direct"] == 16
 
 
+def test_count_tuple_ref_uses_small_prime_cutoff():
+    # chain sums run over primes p <= y, so their reference is (ln ln y)^k / k!
+    rc, text = run_cli("count", "--x", "1000", "--c", "1")
+    doc = json.loads(text)
+    lly = math.log(math.log(doc["params"]["y"]))
+    refs = [row["tuple_ref"] for row in doc["per_k"]]
+    assert refs == [lly**k / math.factorial(k) for k in range(len(refs))]
+
+
 def test_count_guard():
     rc, _ = run_cli("count", "--x", "200000000", "--c", "1")
     assert rc == 2
@@ -216,6 +225,23 @@ def test_verify_stdout_reproducible(capsys):
     assert first == second
     assert first[1].splitlines()[-1].endswith(" checks passed")
     assert "verify took" in capsys.readouterr().err
+
+
+def test_verify_cross_checks_scan_against_count(monkeypatch):
+    ok, results = run_verification(x_max=100, seed=20)
+    names = {name for name, _, _ in results if name.startswith("scan-count")}
+    assert ok and len(names) == 6
+    # an exceedance count off by one in the scan must fail every such check
+    true_scan_range = cli.scan_range
+
+    def faulty(*args, **kwargs):
+        s = true_scan_range(*args, **kwargs)
+        s.exceed = {c: v + 1 for c, v in s.exceed.items()}
+        return s
+
+    monkeypatch.setattr(cli, "scan_range", faulty)
+    _, results = run_verification(x_max=100, seed=20)
+    assert names <= {name for name, flag, _ in results if not flag}
 
 
 def test_verify_negative_control(monkeypatch):

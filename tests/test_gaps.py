@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factorgaps import (
     EmptySampleError,
+    build_prime_table,
     empirical_density,
     empty_summary,
     factorize,
@@ -17,7 +19,13 @@ from factorgaps import (
     theoretical_density,
 )
 from factorgaps import oracle
-from factorgaps.gaps import MODE_PER_RANGE, MOMENT_SCALE
+from factorgaps.gaps import (
+    MODE_PER_N,
+    MODE_PER_RANGE,
+    MOMENT_SCALE,
+    _sieve_segment,
+    _sieving_primes,
+)
 
 
 def summaries_equal(a, b):
@@ -92,6 +100,65 @@ def test_profile_vs_oracle_sample(table_small):
             assert got is None
         else:
             assert got == pytest.approx(ref, rel=1e-12)
+
+
+# ---------------------------------------------------------------- kernel
+
+
+def check_sieve_segment(lo, hi, table):
+    """_sieve_segment on [lo, hi) against factorize + gap_profile per n.
+
+    The kernel takes the log of the surviving cofactor with np.log, which
+    can differ from math.log by an ulp, so the exact reference uses np.log
+    for that prime; gap_profile (math.log throughout) is matched to 1e-15.
+    """
+    # every table prime, as scan_range passes primes up to the root of its
+    # whole range; the kernel must stop at this window's root
+    sieving = _sieving_primes(table, table.limit**2 + 1)
+    rem, omega, last_log, max_ratio = _sieve_segment(lo, hi, *sieving)
+    root = math.isqrt(hi - 1)
+    for i, n in enumerate(range(lo, hi)):
+        fact = factorize(n, table)
+        pr = gap_profile(fact)
+        primes = fact.primes
+        big = primes[-1] if primes and primes[-1] > root else 1
+        sieved = [p for p in primes if p <= root]
+        logs = [math.log(p) for p in sieved] + [float(np.log(big))] * (big > 1)
+        ratio = max((q / p for p, q in zip(logs, logs[1:])), default=0.0)
+        assert (rem[i], omega[i]) == (big, pr.omega), n
+        assert last_log[i] == (math.log(sieved[-1]) if sieved else math.inf), n
+        assert max_ratio[i] == ratio, n
+        if pr.ratio is not None:
+            assert max_ratio[i] == pytest.approx(pr.ratio, rel=1e-15, abs=0), n
+
+
+@settings(max_examples=40, deadline=None)
+@given(lo=st.integers(1, 10**8 - 5000), length=st.integers(1, 5000))
+def test_sieve_segment_matches_factorization(table_small, lo, length):
+    # lo % 30030 varies, so the presieve pattern is tiled at every offset
+    check_sieve_segment(lo, lo + length, table_small)
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (1, 3000),  # from n = 1, where small n are their own primes
+        (1, 30),  # hi - 1 < 49: only 2, 3, 5 are pre-sieved
+        (100, 169),  # hi - 1 < 169: 13 is not pre-sieved
+        (2**31 - 2000, 2**31 + 2000),  # the rem dtype switches to int64
+    ],
+)
+def test_sieve_segment_edge_windows(lo, hi):
+    check_sieve_segment(lo, hi, build_prime_table(50_000))
+
+
+def test_pinned_moments_near_1e8(table_small):
+    # frozen from the kernel before pre-sieving; exact integer regression
+    s = scan_range(10**8 - 2**20, 10**8, [0.5, 1.0, 2.0], table_small)
+    assert s.eligible == 991_620
+    assert s.exceed == {0.5: 960_035, 1.0: 723_604, 2.0: 351_411}
+    assert s.sum_gap_fp == 107_275_703_997_509_200
+    assert s.sum_gap_sq_fp == 205_567_395_853_804_573
 
 
 # ---------------------------------------------------------------- scans
@@ -177,6 +244,25 @@ def test_merge_partition_law(table_small):
             merged = merge_summaries(merged, p)
         assert summaries_equal(merged, direct)
         assert merged.ranges == ((16, 40_000),)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    b=st.integers(17, 60_000),
+    cut_seeds=st.lists(st.floats(0, 1), max_size=4),
+    segment_size=st.integers(64, 20_000),
+    mode=st.sampled_from([MODE_PER_N, MODE_PER_RANGE]),
+)
+def test_merge_law_random_partitions(table_small, b, cut_seeds, segment_size, mode):
+    thr = (0.5, 1.0, 2.0)
+    kw = dict(mode=mode, range_point=b - 1, segment_size=segment_size)
+    direct = scan_range(16, b, thr, table_small, **kw)
+    cuts = sorted({16 + int(u * (b - 16)) for u in cut_seeds} - {16, b})
+    merged = empty_summary(thr, mode, direct.range_point)
+    for a, z in zip([16] + cuts, cuts + [b]):
+        merged = merge_summaries(merged, scan_range(a, z, thr, table_small, **kw))
+    assert summaries_equal(merged, direct)
+    assert (merged.ranges, merged.config()) == (((16, b),), direct.config())
 
 
 def test_merge_commutes_and_has_identity(table_small):
@@ -299,9 +385,11 @@ def test_empirical_density_errors(table_small):
 
 def test_pinned_density_at_1e6(table_small):
     # frozen from the first verified full run; exact integer regression
-    s = scan_range(16, 10**6, [1.0], table_small)
+    s = scan_range(16, 10**6, [0.5, 1.0, 2.0], table_small)
     assert s.total == 999_984
     assert s.eligible == 921_259
-    assert s.exceed == {1.0: 695_369}
+    assert s.exceed == {0.5: 898_633, 1.0: 695_369, 2.0: 331_203}
+    assert s.sum_gap_fp == 91_500_983_392_425_698
+    assert s.sum_gap_sq_fp == 162_304_616_708_663_347
     r = scan_range(16, 10**6, [1.0], table_small, mode=MODE_PER_RANGE)
     assert r.exceed == {1.0: 679_873}
