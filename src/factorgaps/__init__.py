@@ -11,7 +11,6 @@ integers with e^gap(n) > c ln ln n tends to 1 - e^(-1/c).
 
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
-    INFINITE,
     Factorization,
     InsufficientTableError,
     PrimeTable,
@@ -59,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_SEGMENT_SIZE",
-    "INFINITE",
     "Factorization",
     "InsufficientTableError",
     "PrimeTable",

@@ -84,9 +84,10 @@ class RunConfig:
         if self.subcommand in ("scan", "density"):
             if self.lo is None or self.hi is None:
                 raise UsageError("--min and --max are required")
-            if not gaps.ELIGIBLE_FLOOR <= self.lo < self.hi:
+            if not gaps.ELIGIBLE_FLOOR <= self.lo < self.hi <= gaps.MAX_SCAN_END:
                 raise UsageError(
-                    f"need {gaps.ELIGIBLE_FLOOR} <= min < max, got [{self.lo}, {self.hi})"
+                    f"need {gaps.ELIGIBLE_FLOOR} <= min < max <= 2**53, "
+                    f"got [{self.lo}, {self.hi})"
                 )
             if not self.c_values:
                 raise UsageError("--c requires at least one value")

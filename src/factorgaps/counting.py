@@ -28,7 +28,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import boundary
-from .gaps import _sieve_segment, _sieving_primes
+from .gaps import _sieve_segment, _sieving_primes, _Workspace
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     Factorization,
@@ -116,7 +116,7 @@ def direct_counts(pars: CountParams, table: PrimeTable) -> DirectCounts:
     """Count gap-form and smooth gap-form n <= x with the segmented
     sieve of the scan kernel; N(x) is their difference.
 
-    n is gap-form iff omega <= 1 or its largest log ratio is at most E.
+    n is gap-form iff its largest log ratio (0 if omega <= 1) is <= E.
     Ratios within TIE_EPS of E (every eligible n under
     :func:`boundary.force_extended`) are re-decided exactly from the
     factorization.
@@ -126,21 +126,29 @@ def direct_counts(pars: CountParams, table: PrimeTable) -> DirectCounts:
     y = yprimes[-1] if yprimes else 1
     primes, logs = _sieving_primes(table, pars.x + 1)
     tie_eps = math.inf if boundary._FORCE_EXTENDED else boundary.TIE_EPS
+    ws = _Workspace(min(DEFAULT_SEGMENT_SIZE, pars.x), pars.x + 1)
     n_gapform = n_smooth = 0
     for lo in range(1, pars.x + 1, DEFAULT_SEGMENT_SIZE):
         hi = min(lo + DEFAULT_SEGMENT_SIZE, pars.x + 1)
-        rem, omega, last_log, max_ratio = _sieve_segment(lo, hi, primes, logs)
-        eligible = omega >= 2
-        gapform = ~eligible | (max_ratio <= e)
-        for j in np.nonzero(eligible & (np.abs(max_ratio - e) < tie_eps))[0]:
+        rem, last_log, max_ratio = _sieve_segment(lo, hi, primes, logs, ws)
+        gapform, smooth, ties = ws.masks[:, : hi - lo]
+        dist = ws.tmp[: hi - lo]
+        # max_ratio is 0 for omega <= 1, which is gap-form and never a tie
+        np.less_equal(max_ratio, e, out=gapform)
+        np.less(np.abs(np.subtract(max_ratio, e, out=dist), out=dist), tie_eps, out=ties)
+        ties &= np.greater(max_ratio, 0, out=smooth)
+        for j in np.flatnonzero(ties):
             gapform[j] = is_gap_form(factorize(lo + int(j), table), pars)
-        # The largest prime factor is rem if rem > 1, else the last sieved
-        # prime (n = 1 has neither: rem = 1, last_log = inf). Both sides of
-        # the log test are math.log of a prime, and logs of distinct primes
-        # differ by far more than an ulp, so it holds iff that prime <= y.
-        smooth = np.where(rem > 1, rem <= y, last_log <= math.log(y))
+        # Smooth: rem <= y and (rem > 1 or last_log <= log y), as the
+        # largest prime is rem if rem > 1, else the last sieved one (n = 1
+        # has neither: rem = 1, last_log = inf). Logs of distinct primes
+        # differ by far more than an ulp: the log test is exact.
+        np.less_equal(last_log, math.log(y), out=smooth)
+        smooth |= np.greater(rem, 1, out=ties)
+        smooth &= np.less_equal(rem, y, out=ties)
+        smooth &= gapform
         n_gapform += int(np.count_nonzero(gapform))
-        n_smooth += int(np.count_nonzero(gapform & smooth))
+        n_smooth += int(np.count_nonzero(smooth))
 
     return DirectCounts(
         n_direct=n_gapform - n_smooth,

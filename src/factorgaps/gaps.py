@@ -43,6 +43,8 @@ HIST_BINS = 400  # in-range bins; slots 0 and HIST_BINS+1 are under/overflow
 MOMENT_SCALE = 1 << 36
 MAX_SEGMENT_SIZE = 1 << 22
 
+MAX_SCAN_END = 2**53  # the post-pass's float64 n is exact below this
+
 MODE_PER_N = "per-n"
 MODE_PER_RANGE = "per-range"
 
@@ -193,40 +195,68 @@ PRESIEVE_PRIMES = (2, 3, 5, 7, 11, 13)  # their product is 30030
 @lru_cache(maxsize=16)  # keys: the 7 prefixes of PRESIEVE_PRIMES, 2 dtypes
 def _presieve_pattern(primes, logs, dtype):
     """The kernel's state after the first powers of ``primes`` (prod, the
-    product of those dividing n, then omega, last_log, max_ratio) over one
-    period of n mod prod(primes) (Oliveira e Silva et al., Math. Comp. 2014)."""
+    product of those dividing n, then last_log, max_ratio) over one period
+    of n mod prod(primes), read-only (Oliveira e Silva et al., 2014)."""
     n = math.prod(primes)
-    prod, omega = np.ones(n, dtype=dtype), np.zeros(n, dtype=np.int8)
-    last_log, max_ratio = np.full(n, np.inf), np.zeros(n)
+    prod, last_log, max_ratio = np.ones(n, dtype=dtype), np.full(n, np.inf), np.zeros(n)
     for p, lp in zip(primes, logs):
         np.maximum(max_ratio[::p], lp / last_log[::p], out=max_ratio[::p])
         last_log[::p] = lp
-        omega[::p] += 1
         prod[::p] *= p
-    return prod, omega, last_log, max_ratio
+    for a in (prod, last_log, max_ratio):
+        a.flags.writeable = False
+    return prod, last_log, max_ratio
 
 
-def _sieve_segment(lo, hi, small_primes, prime_logs):
+def _tile(out, period, off):
+    """Fill ``out`` with ``period`` rotated left by ``off``, repeated."""
+    head = min(period.size - off, out.size)
+    out[:head] = period[off : off + head]
+    q, r = divmod(out.size - head, period.size)
+    out[head : head + q * period.size].reshape(q, period.size)[...] = period
+    out[out.size - r :] = period[:r]
+
+
+class _Workspace:
+    """Per-integer arrays for segments of at most ``size`` integers below
+    ``b``, allocated once and reused by every segment through slices and
+    ``out=``; pages of an array a caller never writes are never touched."""
+
+    def __init__(self, size: int, b: int):
+        self.size, self.b = size, b
+        self.dtype = np.int32 if b - 1 <= 2**31 - 1 else np.int64
+        self.idx = np.arange(size, dtype=self.dtype)  # n - lo
+        self.prod, self.rem = np.empty((2, size), dtype=self.dtype)
+        self.last_log, self.max_ratio, self.tmp, self.tmp2 = np.empty((4, size))
+        self.bins = np.empty(size, dtype=np.int64)
+        self.masks = np.empty((3, size), dtype=bool)
+
+
+def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
     """Segmented sieve of [lo, hi) by the primes up to sqrt(hi - 1).
 
-    Returns per-integer arrays: rem, the cofactor left (1 or the largest
-    prime factor); omega; last_log, the log of the largest sieved prime
-    factor (+inf if none); and max_ratio, the largest ratio of logs of
-    consecutive distinct prime factors (0 when omega <= 1). Primes go in
-    increasing order, so each integer sees its factors ascending and the
-    running maximum needs only the previous factor's log; last_log starts
-    at +inf so a first factor's update (lp / inf = 0) is a no-op. The
-    first powers of PRESIEVE_PRIMES come from a tiled pattern instead;
-    prod collects every sieved prime power dividing n, so rem = n // prod."""
+    Returns views into ``ws``, valid until its next use: rem, the cofactor
+    left (1 or the largest prime factor); last_log, the log of the largest
+    sieved prime factor (+inf if none); and max_ratio, the largest ratio of
+    logs of consecutive distinct prime factors (0 exactly when omega <= 1,
+    else > 1). Primes go in increasing order, so each integer sees its
+    factors ascending and the running maximum needs only the previous
+    factor's log; last_log starts at +inf so a first factor's update
+    (lp / inf = 0) is a no-op. The first powers of PRESIEVE_PRIMES come
+    from a tiled pattern; prod collects every sieved prime power dividing
+    n, so rem = n // prod."""
     seglen = hi - lo
-    dtype = np.int32 if hi - 1 <= 2**31 - 1 else np.int64
+    if seglen > ws.size or hi > ws.b:
+        raise ValueError(f"[{lo}, {hi}) does not fit the workspace")
+    prod, rem, last_log, max_ratio, tmp = (
+        a[:seglen] for a in (ws.prod, ws.rem, ws.last_log, ws.max_ratio, ws.tmp)
+    )
     root = isqrt(hi - 1)
     k = sum(p <= root for p in PRESIEVE_PRIMES)
-    pattern = _presieve_pattern(tuple(small_primes[:k]), tuple(prime_logs[:k]), dtype)
+    pattern = _presieve_pattern(tuple(small_primes[:k]), tuple(prime_logs[:k]), ws.dtype)
     off = lo % pattern[0].size
-    tiled = (np.resize(np.roll(a, -off), seglen) for a in pattern)
-    prod, omega, last_log, max_ratio = tiled
-    buf = np.empty(seglen // PRESIEVE_PRIMES[-1] + 1)  # fits any stride p > 13
+    for out, period in zip((prod, last_log, max_ratio), pattern):
+        _tile(out, period, off)
     for p, lp in zip(small_primes, prime_logs):
         if p > root:
             break
@@ -236,9 +266,8 @@ def _sieve_segment(lo, hi, small_primes, prime_logs):
         if p > PRESIEVE_PRIMES[-1]:
             ll = last_log[start::p]
             mr = max_ratio[start::p]
-            np.maximum(mr, np.divide(lp, ll, out=buf[: ll.size]), out=mr)
+            np.maximum(mr, np.divide(lp, ll, out=tmp[: ll.size]), out=mr)
             ll[...] = lp
-            omega[start::p] += 1
             prod[start::p] *= p
         # positions holding p^k are exactly the p^k strides, so higher
         # powers come out without any divisibility scan
@@ -249,58 +278,60 @@ def _sieve_segment(lo, hi, small_primes, prime_logs):
                 break
             prod[start_d::d] *= p
             d *= p
-    rem = np.arange(lo, hi, dtype=dtype) // prod
+    np.add(ws.idx[:seglen], lo, out=rem)
+    np.floor_divide(rem, prod, out=rem)
 
     # Surviving cofactors are prime; rem == 1 contributes log 1 = 0 and
     # untouched slots have last_log = inf, so both drop out of the max.
-    np.maximum(max_ratio, np.log(rem) / last_log, out=max_ratio)
-    omega += rem > 1
-    return rem, omega, last_log, max_ratio
+    np.divide(np.log(rem, out=tmp), last_log, out=tmp)
+    np.maximum(max_ratio, tmp, out=max_ratio)
+    return rem, last_log, max_ratio
 
 
-def _scan_segment(lo, hi, thresholds, mode, range_point, small_primes, prime_logs):
+def _scan_segment(lo, hi, thresholds, mode, range_point, small_primes, prime_logs, ws):
     """Vectorized scan of [lo, hi): per-integer gap stats from
-    :func:`_sieve_segment`, reduced to one :class:`ScanSummary`."""
-    _, omega, _, max_ratio = _sieve_segment(lo, hi, small_primes, prime_logs)
+    :func:`_sieve_segment`, reduced to one :class:`ScanSummary`. An
+    ineligible n has ratio 0, which exceeds no (positive) bound, and gap
+    log 0 = -inf, which bins to the corrected underflow slot and is
+    zeroed before the moments; eligible n see the same float operations."""
+    _, _, ratio = _sieve_segment(lo, hi, small_primes, prime_logs, ws)
+    seglen = hi - lo
+    lnln, buf, bins, mask = (a[:seglen] for a in (ws.tmp, ws.tmp2, ws.bins, ws.masks[0]))
+    eligible = int(np.count_nonzero(ratio))
+    np.add(ws.idx[:seglen], float(lo), out=lnln)  # exact: n < 2**53
+    np.log(np.log(lnln, out=lnln), out=lnln)
+    exceed = {}
+    for c in thresholds:
+        if mode == MODE_PER_N:
+            bound = np.multiply(c, lnln, out=buf)
+        else:  # a bound <= 0 (range_point < 3) passes every ratio > 1, not 0
+            bound = max(c * math.log(math.log(range_point)), 0.0)
+        exceed[c] = int(np.count_nonzero(np.greater(ratio, bound, out=mask)))
 
-    eligible_mask = omega >= 2
-    eligible = int(np.count_nonzero(eligible_mask))
-    hist = np.zeros(HIST_BINS + 2, dtype=np.int64)
-    exceed = {c: 0 for c in thresholds}
-    sum_fp = 0
-    sum_sq_fp = 0
-    if eligible:
-        ratio = max_ratio[eligible_mask]
-        gap = np.log(ratio)
-        lnln = np.arange(lo, hi, dtype=np.float64)[eligible_mask]
-        np.log(np.log(lnln, out=lnln), out=lnln)
-        buf = np.log(lnln)  # ln ln ln n, reusing ln ln n
-        np.subtract(gap, buf, out=buf)
+    with np.errstate(divide="ignore"):
+        gap = np.log(ratio, out=ratio)
+    np.log(lnln, out=buf)  # ln ln ln n, from ln ln n
+    np.subtract(gap, buf, out=buf)
+    buf -= HIST_LO
+    buf *= HIST_INV_WIDTH
+    np.clip(np.floor(buf, out=buf), -1, HIST_BINS, out=buf)
+    buf += 1  # slot 0 is the underflow
+    np.copyto(bins, buf, casting="unsafe")
+    hist = np.bincount(bins, minlength=HIST_BINS + 2)
+    hist[0] -= seglen - eligible
 
-        buf -= HIST_LO
-        buf *= HIST_INV_WIDTH
-        np.clip(np.floor(buf, out=buf), -1, HIST_BINS, out=buf)
-        buf += 1  # slot 0 is the underflow
-        hist = np.bincount(buf.astype(np.int64), minlength=HIST_BINS + 2)
-
-        for c in thresholds:
-            if mode == MODE_PER_N:
-                bound = np.multiply(c, lnln, out=buf)
-            else:
-                bound = c * math.log(math.log(range_point))
-            exceed[c] = int(np.count_nonzero(ratio > bound))
-
-        np.multiply(gap, MOMENT_SCALE, out=buf)
-        sum_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
-        np.multiply(np.multiply(gap, gap, out=buf), MOMENT_SCALE, out=buf)
-        sum_sq_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
+    np.maximum(gap, 0, out=gap)  # -inf -> 0; an eligible gap is > 0
+    np.multiply(gap, MOMENT_SCALE, out=buf)
+    sum_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
+    np.multiply(np.multiply(gap, gap, out=buf), MOMENT_SCALE, out=buf)
+    sum_sq_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
 
     return ScanSummary(
         ranges=((lo, hi),),
         thresholds=thresholds,
         mode=mode,
         range_point=range_point,
-        total=hi - lo,
+        total=seglen,
         eligible=eligible,
         hist=hist,
         exceed=exceed,
@@ -323,8 +354,8 @@ def scan_range(
     Parameters
     ----------
     a, b : int
-        Range bounds, 16 <= a < b; the floor keeps ln ln n and
-        ln ln ln n defined and positive for every scanned integer.
+        Range bounds, 16 <= a < b <= 2**53; the floor keeps ln ln n and
+        ln ln ln n positive for every n, the ceiling keeps n exact as a float.
     thresholds : iterable of float
         Positive scale factors c for the exceedance counters.
     table : PrimeTable
@@ -341,8 +372,8 @@ def scan_range(
     The result is deterministic and identical for any segmentation or
     parallel split of [a, b), because every accumulator is an integer.
     """
-    if not ELIGIBLE_FLOOR <= a < b:
-        raise ValueError(f"need {ELIGIBLE_FLOOR} <= a < b, got [{a}, {b})")
+    if not ELIGIBLE_FLOOR <= a < b <= MAX_SCAN_END:
+        raise ValueError(f"need {ELIGIBLE_FLOOR} <= a < b <= 2**53, got [{a}, {b})")
     if mode not in (MODE_PER_N, MODE_PER_RANGE):
         raise ValueError(f"unknown mode {mode!r}")
     if not 1 <= segment_size <= MAX_SEGMENT_SIZE:
@@ -354,12 +385,13 @@ def scan_range(
     if mode == MODE_PER_N:
         range_point = None
 
+    ws = _Workspace(min(segment_size, b - a), b)
     total = empty_summary(thr, mode, range_point)
     for lo in range(a, b, segment_size):
         hi = min(lo + segment_size, b)
         total = merge_summaries(
             total,
-            _scan_segment(lo, hi, thr, mode, range_point, small_primes, prime_logs),
+            _scan_segment(lo, hi, thr, mode, range_point, small_primes, prime_logs, ws),
         )
     return total
 

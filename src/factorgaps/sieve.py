@@ -22,40 +22,6 @@ class InsufficientTableError(Exception):
     """The prime table does not reach far enough for the request."""
 
 
-class _Infinite:
-    """Order-only sentinel for the smallest prime factor of 1.
-
-    Compares above every number; deliberately not a float so it can never
-    leak into arithmetic.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INFINITE"
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinite)
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinite)
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinite)
-
-    def __hash__(self):
-        return hash("factorgaps.INFINITE")
-
-
-INFINITE = _Infinite()
-
-
 @dataclass(frozen=True)
 class Factorization:
     """An integer n >= 1 with its prime factorization.
@@ -80,11 +46,6 @@ class Factorization:
     def largest_prime(self) -> int:
         """Largest prime factor, with the convention 1 for n = 1."""
         return self.factors[-1][0] if self.factors else 1
-
-    @property
-    def smallest_prime(self):
-        """Smallest prime factor; INFINITE for n = 1, by convention."""
-        return self.factors[0][0] if self.factors else INFINITE
 
 
 @dataclass(frozen=True)

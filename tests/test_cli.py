@@ -166,6 +166,21 @@ def test_scan_usage_errors():
     assert rc == 2
 
 
+@pytest.mark.parametrize("cmd", ["scan", "density"])
+def test_range_past_2_53_refused_before_any_allocation(monkeypatch, cmd):
+    def no_table(limit):
+        raise AssertionError("the range guard must fire before the prime table")
+
+    monkeypatch.setattr(cli, "build_prime_table", no_table)
+    for workers in ("1", "2"):
+        rc, out = run_cli(
+            cmd, "--min", str(2**53 - 100), "--max", str(2**53 + 1), "--c", "1",
+            "--workers", workers,
+        )
+        assert (rc, out) == (2, "")
+    cli.RunConfig(subcommand=cmd, lo=2**53 - 100, hi=2**53, c_values=(1.0,)).validate()
+
+
 def test_capacity_error_exit_code(monkeypatch):
     import factorgaps.cli as cli
     from factorgaps import build_prime_table

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from factorgaps import (
     EmptySampleError,
@@ -25,7 +25,10 @@ from factorgaps.gaps import (
     MOMENT_SCALE,
     _sieve_segment,
     _sieving_primes,
+    _Workspace,
 )
+
+TABLE_5E4 = build_prime_table(50_000)  # reaches sqrt(2**31 + 2000)
 
 
 def summaries_equal(a, b):
@@ -105,17 +108,26 @@ def test_profile_vs_oracle_sample(table_small):
 # ---------------------------------------------------------------- kernel
 
 
-def check_sieve_segment(lo, hi, table):
-    """_sieve_segment on [lo, hi) against factorize + gap_profile per n.
+def sieve_fresh(lo, hi, table, ws=None):
+    """_sieve_segment on [lo, hi), in a workspace of its own unless given,
+    copied out of the workspace. Every table prime is passed, as
+    scan_range passes primes up to the root of its whole range; the
+    kernel must stop at this window's root."""
+    ws = ws or _Workspace(hi - lo, hi)
+    sieving = _sieving_primes(table, table.limit**2 + 1)
+    return tuple(a.copy() for a in _sieve_segment(lo, hi, *sieving, ws))
+
+
+def check_sieve_segment(lo, hi, table, got=None):
+    """_sieve_segment on [lo, hi) (or its result ``got``) against
+    factorize + gap_profile per n.
 
     The kernel takes the log of the surviving cofactor with np.log, which
     can differ from math.log by an ulp, so the exact reference uses np.log
     for that prime; gap_profile (math.log throughout) is matched to 1e-15.
     """
-    # every table prime, as scan_range passes primes up to the root of its
-    # whole range; the kernel must stop at this window's root
-    sieving = _sieving_primes(table, table.limit**2 + 1)
-    rem, omega, last_log, max_ratio = _sieve_segment(lo, hi, *sieving)
+    rem, last_log, max_ratio = got or sieve_fresh(lo, hi, table)
+    assert len(rem) == len(last_log) == len(max_ratio) == hi - lo
     root = math.isqrt(hi - 1)
     for i, n in enumerate(range(lo, hi)):
         fact = factorize(n, table)
@@ -125,7 +137,8 @@ def check_sieve_segment(lo, hi, table):
         sieved = [p for p in primes if p <= root]
         logs = [math.log(p) for p in sieved] + [float(np.log(big))] * (big > 1)
         ratio = max((q / p for p, q in zip(logs, logs[1:])), default=0.0)
-        assert (rem[i], omega[i]) == (big, pr.omega), n
+        # eligibility (omega >= 2) is exactly a positive ratio
+        assert (rem[i], max_ratio[i] > 0) == (big, pr.omega >= 2), n
         assert last_log[i] == (math.log(sieved[-1]) if sieved else math.inf), n
         assert max_ratio[i] == ratio, n
         if pr.ratio is not None:
@@ -144,12 +157,110 @@ def test_sieve_segment_matches_factorization(table_small, lo, length):
     [
         (1, 3000),  # from n = 1, where small n are their own primes
         (1, 30),  # hi - 1 < 49: only 2, 3, 5 are pre-sieved
+        (1, 25),  # hi - 1 < 25: the pattern of 2, 3 is tiled 4 times
+        (10**6, 10**6 + 65_000),  # the mod-30030 pattern is tiled 3 times
         (100, 169),  # hi - 1 < 169: 13 is not pre-sieved
         (2**31 - 2000, 2**31 + 2000),  # the rem dtype switches to int64
     ],
 )
 def test_sieve_segment_edge_windows(lo, hi):
-    check_sieve_segment(lo, hi, build_prime_table(50_000))
+    check_sieve_segment(lo, hi, TABLE_5E4)
+
+
+WINDOWS = st.one_of(
+    st.tuples(st.integers(1, 150), st.integers(1, 18)),  # root < 13
+    st.tuples(st.integers(1, 10**6), st.integers(1, 400)),
+    st.tuples(st.integers(2**31 - 300, 2**31), st.integers(1, 300)),  # 2**31
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(windows=st.lists(WINDOWS, min_size=3, max_size=6))
+@example(windows=[(2**31 - 200, 300), (100, 60), (5, 20), (10**6, 400), (2**31 - 3, 6)])
+def test_workspace_reuse_leaks_no_state(windows):
+    # one workspace through consecutive windows of any length and root
+    ws = _Workspace(max(n for _, n in windows), max(lo + n for lo, n in windows))
+    for lo, n in windows:
+        shared = sieve_fresh(lo, lo + n, TABLE_5E4, ws)
+        fresh = sieve_fresh(lo, lo + n, TABLE_5E4)
+        assert all(np.array_equal(a, b) for a, b in zip(shared, fresh)), (lo, n)
+        check_sieve_segment(lo, lo + n, TABLE_5E4, shared)
+
+
+def test_workspace_rejects_segments_that_do_not_fit():
+    ws = _Workspace(100, 1000)
+    sieving = _sieving_primes(TABLE_5E4, 1000)
+    with pytest.raises(ValueError):
+        _sieve_segment(16, 117, *sieving, ws)  # longer than the workspace
+    with pytest.raises(ValueError):
+        _sieve_segment(950, 1001, *sieving, ws)  # past the workspace's bound
+
+
+HIST_16_4096 = {
+    186: 5, 187: 12, 188: 23, 189: 24, 190: 25, 191: 27, 192: 33, 193: 36,
+    194: 43, 195: 94, 196: 68, 197: 95, 198: 86, 199: 70, 200: 64, 201: 88,
+    202: 105, 203: 167, 204: 91, 205: 107, 206: 115, 207: 152, 208: 110,
+    209: 100, 210: 80, 211: 101, 212: 111, 213: 95, 214: 102, 215: 83,
+    216: 78, 217: 63, 218: 77, 219: 76, 220: 73, 221: 73, 222: 71, 223: 76,
+    224: 21, 225: 21, 226: 31, 227: 37, 228: 43, 229: 65, 230: 62, 231: 103,
+    232: 80, 233: 124,
+}
+HIST_2_31 = {
+    178: 3, 179: 8, 180: 15, 181: 10, 182: 22, 183: 12, 184: 14, 185: 20,
+    186: 24, 187: 26, 188: 24, 189: 27, 190: 51, 191: 38, 192: 35, 193: 38,
+    194: 61, 195: 113, 196: 72, 197: 89, 198: 87, 199: 159, 200: 66, 201: 94,
+    202: 93, 203: 136, 204: 134, 205: 93, 206: 129, 207: 122, 208: 100,
+    209: 88, 210: 111, 211: 77, 212: 108, 213: 90, 214: 89, 215: 103,
+    216: 86, 217: 54, 218: 86, 219: 58, 220: 64, 221: 49, 222: 42, 223: 62,
+    224: 57, 225: 48, 226: 35, 227: 61, 228: 73, 229: 13, 230: 20, 231: 21,
+    232: 16, 233: 14, 234: 32, 235: 45, 236: 43, 237: 59, 240: 1, 242: 1,
+    243: 6, 244: 12, 245: 79, 246: 91,
+}
+# (eligible, hist, exceed, sum_gap_fp, sum_gap_sq_fp), frozen from the
+# kernel that compacted eligible n before its post-pass
+PINNED_WINDOWS = {
+    (16, 4096, MODE_PER_N): (
+        3486, HIST_16_4096, {0.5: 3481, 1.0: 2781, 2.0: 1267},
+        289_173_521_091_835, 434_435_689_845_074,
+    ),
+    (16, 4096, MODE_PER_RANGE): (
+        3486, HIST_16_4096, {0.5: 3469, 1.0: 2699, 2.0: 1162},
+        289_173_521_091_835, 434_435_689_845_074,
+    ),
+    (2**31 - 2000, 2**31 + 2000, MODE_PER_N): (
+        3809, HIST_2_31, {0.5: 3678, 1.0: 2795, 2.0: 1344},
+        424_918_280_866_801, 834_568_322_313_253,
+    ),
+    (2**31 - 2000, 2**31 + 2000, MODE_PER_RANGE): (
+        3809, HIST_2_31, {0.5: 3678, 1.0: 2795, 2.0: 1344},
+        424_918_280_866_801, 834_568_322_313_253,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", [MODE_PER_N, MODE_PER_RANGE])
+@pytest.mark.parametrize(
+    "a,b,segment_size",
+    [
+        (16, 4096, 64),
+        (16, 4096, 1000),
+        (2**31 - 2000, 2**31 + 2000, 1000),
+        (2**31 - 2000, 2**31 + 2000, 1 << 20),
+    ],
+)
+def test_pinned_prime_dense_windows(a, b, segment_size, mode):
+    # most ineligible n land in underflow slot 0 before the correction,
+    # so slot 0 (pinned at 0) and eligible pin it
+    s = scan_range(
+        a, b, [0.5, 1.0, 2.0], TABLE_5E4, mode=mode, segment_size=segment_size
+    )
+    eligible, slots, exceed, sum_fp, sum_sq_fp = PINNED_WINDOWS[a, b, mode]
+    hist = np.zeros(402, dtype=np.int64)
+    hist[list(slots)] = list(slots.values())
+    assert s.eligible == eligible
+    assert np.array_equal(s.hist, hist)
+    assert s.exceed == exceed
+    assert (s.sum_gap_fp, s.sum_gap_sq_fp) == (sum_fp, sum_sq_fp)
 
 
 def test_pinned_moments_near_1e8(table_small):
@@ -296,6 +407,12 @@ def test_scan_mode_per_range(table_small):
     assert a.exceed != b.exceed
 
 
+def test_scan_per_range_bound_below_zero(table_small):
+    # c ln ln 2 < 0: every eligible n exceeds it, and no ineligible one
+    s = scan_range(16, 5_000, [1.0], table_small, mode=MODE_PER_RANGE, range_point=2)
+    assert s.exceed == {1.0: s.eligible}
+
+
 def test_scan_exceed_monotone_in_c(table_small):
     s = scan_range(16, 50_000, [0.25, 0.5, 1.0, 2.0, 4.0], table_small)
     counts = [s.exceed[c] for c in (0.25, 0.5, 1.0, 2.0, 4.0)]
@@ -311,6 +428,8 @@ def test_scan_validates_arguments(table_small):
         scan_range(16, 100, [0.0], table_small)
     with pytest.raises(ValueError):
         scan_range(16, 100, [1.0], table_small, mode="sideways")
+    with pytest.raises(ValueError):  # n past 2**53 is not exact as a float
+        scan_range(2**53 - 10, 2**53 + 1, [1.0], table_small)
 
 
 def test_scan_moments_match_floats(table_small):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from factorgaps import (
-    INFINITE,
     Factorization,
     InsufficientTableError,
     build_prime_table,
@@ -95,10 +94,6 @@ def test_factorization_conventions(table_small):
     assert one.factors == ()
     assert one.omega == 0
     assert one.largest_prime == 1
-    assert one.smallest_prime == INFINITE
-    assert INFINITE > 10**18
-    assert not (INFINITE < 10**18)
-    assert INFINITE == INFINITE
 
 
 def test_segment_scan_examples(table_small):
