@@ -45,6 +45,7 @@ from .counting import (
     count_isolated_set,
     direct_counts,
     inclusion_exclusion,
+    inner_counts,
     is_gap_form,
     is_isolated,
     make_params,
@@ -88,6 +89,7 @@ __all__ = [
     "count_isolated_set",
     "direct_counts",
     "inclusion_exclusion",
+    "inner_counts",
     "is_gap_form",
     "is_isolated",
     "make_params",

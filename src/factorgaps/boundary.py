@@ -10,8 +10,8 @@ Both sides are exact real numbers, but the code evaluates them through
 floating logs. A double-precision answer within ``TIE_EPS`` of the
 boundary is re-decided with mpmath at ``EXTENDED_DPS`` significant
 digits, so set membership agrees with the exact definition even when the
-double rounds the wrong way. Counts produced on top of these predicates
-are therefore exact integers, not "exact up to rounding".
+double rounds the wrong way (mpmath is imported at the first such tie).
+Counts built on these predicates are exact integers, not "exact up to rounding".
 
 ``force_extended()`` routes every comparison through mpmath; the
 verification suite uses it to confirm that the double fast path never
@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from functools import lru_cache
-
-from mpmath import mp
 
 TIE_EPS = 1e-9
 EXTENDED_DPS = 40  # significant digits used to break ties
@@ -63,6 +61,7 @@ def small_prime_bound(x: int, c: float) -> float:
 
 @lru_cache(maxsize=256)
 def _mp_exponent(x: int, c: float):
+    from mpmath import mp
     with mp.workdps(EXTENDED_DPS):
         return mp.mpf(c) * mp.log(mp.log(x))
 
@@ -74,6 +73,7 @@ def le_power(q: int, p: int, x: int, c: float) -> bool:
         rhs = gap_exponent(x, c) * math.log(p)
         if abs(lhs - rhs) >= TIE_EPS:
             return lhs <= rhs
+    from mpmath import mp
     with mp.workdps(EXTENDED_DPS):
         return mp.log(q) <= _mp_exponent(x, c) * mp.log(p)
 
@@ -96,6 +96,7 @@ def le_root(p: int, x: int, c: float) -> bool:
         rhs = math.log(x)
         if abs(lhs - rhs) >= TIE_EPS:
             return lhs <= rhs
+    from mpmath import mp
     with mp.workdps(EXTENDED_DPS):
         return _mp_exponent(x, c) * mp.log(p) <= mp.log(x)
 

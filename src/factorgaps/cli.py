@@ -15,20 +15,18 @@ import math
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
 import numpy as np
 
-from . import boundary, gaps, oracle
+from . import boundary, gaps
 from .counting import (
-    count_isolated_set,
     inclusion_exclusion,
+    inner_counts,
     is_gap_form,
     make_params,
-    tuple_reciprocal_sum,
     wide_squarefree_set,
     window_set,
 )
@@ -160,6 +158,12 @@ def emit(text: str, out: Optional[str], stdout) -> None:
 
 # ----------------------------------------------------------------------
 # parallel scanning
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    # imported at the first fan-out: commands that never fork skip multiprocessing
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(*args, **kwargs)
 
 
 def _scan_task(args):
@@ -322,14 +326,13 @@ def cmd_count(cfg: RunConfig, stdout) -> int:
     identity_ok = bd.n_inclusion_exclusion == bd.n_direct
     per_k = []
     for layer in bd.per_k:
-        s_k = tuple_reciprocal_sum(pars, layer.k, table, constrain_product=True)
         per_k.append(
             {
                 "k": layer.k,
                 "m_count": layer.m_count,
                 "N_k": layer.count,
                 "poisson_ref": x / (c ** layer.k * math.factorial(layer.k)),
-                "S_k": s_k,
+                "S_k": layer.recip_sum,
                 "tuple_ref": math.log(math.log(pars.small_prime_bound)) ** layer.k
                 / math.factorial(layer.k),
             }
@@ -364,7 +367,7 @@ def cmd_count(cfg: RunConfig, stdout) -> int:
 def cmd_enumerate_m(cfg: RunConfig, stdout) -> int:
     x, c = cfg.x, cfg.c_values[0]
     pars = make_params(x, c)
-    table = build_prime_table(max(x, 2))
+    table = build_prime_table(math.ceil(boundary.root_search_bound(x, c)))
     members = wide_squarefree_set(pars, table)
     lines = ["k,m,primes"]
     for w in members:
@@ -387,6 +390,8 @@ def run_verification(x_max: int = 2000, seed: int = DEFAULT_SEED):
     Returns (all_ok, results) with one (name, ok, detail) triple per
     check; detail carries the compared values on failure.
     """
+    from . import oracle  # mpmath loads with it, on the verify path only
+
     results: list[tuple[str, bool, str]] = []
     rng = random.Random(seed)
     # 10**4 covers factorize up to 10**8 (mobius products of samples <= 10**4)
@@ -442,8 +447,7 @@ def run_verification(x_max: int = 2000, seed: int = DEFAULT_SEED):
             )
 
             bad = []
-            for w in members:
-                mine = count_isolated_set(w, pars, table)
+            for w, mine in zip(members, inner_counts(members, pars, table)):
                 ref = oracle.naive_chi_count(w.primes, x, c)
                 if mine != ref:
                     bad.append((w.m, mine, ref))

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import groupby, islice
+from typing import Iterable
 
 import numpy as np
 
@@ -240,21 +241,14 @@ class WindowSet:
             for i in range(len(self.bases) - 1)
         )
 
-    def window_primes(self, table: PrimeTable, cap: Optional[int] = None) -> np.ndarray:
-        """All primes in any window, ascending (optionally capped)."""
-        parts = [
-            primes_in_power_interval(p, self.x, self.c, table, cap=cap)
-            for p in self.bases
-        ]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+    def window_primes(self, table: PrimeTable) -> np.ndarray:
+        """All primes in any window, ascending."""
+        parts = [primes_in_power_interval(p, self.x, self.c, table) for p in self.bases]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def coprime_share(self, table: PrimeTable) -> float:
         """Product of (1 - 1/q) over every window prime q."""
         qs = self.window_primes(table)
-        if len(qs) == 0:
-            return 1.0
         return float(np.prod(1.0 - 1.0 / qs.astype(np.float64)))
 
 
@@ -262,29 +256,63 @@ def window_set(m: WideSquarefree, pars: CountParams) -> WindowSet:
     return WindowSet(x=pars.x, c=pars.c, bases=m.primes)
 
 
-def count_isolated_set(m: WideSquarefree, pars: CountParams, table: PrimeTable) -> int:
-    """C(m) = #{ n <= x : every prime of m is isolated in n }.
+def _unmarked(qs: np.ndarray, limit: int) -> int:
+    """#{ 1 <= v <= limit : no q in qs divides v }, for primes q <= limit:
+    strided assignment marks the q with 32 * q <= limit, one index array
+    the rest (fewer than 32 multiples each)."""
+    marked = np.zeros(limit + 1, dtype=bool)
+    strided = 32 * qs <= limit
+    for q in qs[strided].tolist():
+        marked[q::q] = True
+    big = qs[~strided]
+    reps = limit // big
+    mult = np.arange(1, int(reps.sum()) + 1) - np.repeat(np.cumsum(reps) - reps, reps)
+    marked[np.repeat(big, reps) * mult] = True
+    return int(limit - np.count_nonzero(marked[1:]))
+
+
+def inner_counts(
+    members: Iterable[WideSquarefree], pars: CountParams, table: PrimeTable
+) -> list[int]:
+    """C(m) = #{ n <= x : every prime of m is isolated in n }, per member.
 
     Such n are exactly m * v with v <= x/m and no prime factor of v in
     m's windows (v may share primes with m itself; only the windows
     exclude), so C(m) is x/m minus the v marked as multiples of some
-    window prime.
+    window prime. Each base prime's window is found once, capped at
+    x // p, and cut at x // m per member; C(m) = x // m when no window
+    prime is that small.
     """
-    limit = pars.x // m.m
-    marked = np.zeros(limit + 1, dtype=bool)
-    for q in window_set(m, pars).window_primes(table, cap=limit):
-        marked[int(q) :: int(q)] = True
-    return int(limit - np.count_nonzero(marked[1:]))
+    x = pars.x
+    cache: dict[int, np.ndarray] = {}  # base prime -> its window up to x // p
+    out = []
+    for m in members:
+        limit = x // m.m
+        qs = []
+        for p in m.primes:
+            if p not in cache:
+                cache[p] = primes_in_power_interval(p, x, pars.c, table, cap=x // p)
+            win = cache[p]
+            if len(win) and win[0] <= limit:
+                qs.append(win[: np.searchsorted(win, limit, side="right")])
+        out.append(_unmarked(np.concatenate(qs), limit) if qs else limit)
+    return out
+
+
+def count_isolated_set(m: WideSquarefree, pars: CountParams, table: PrimeTable) -> int:
+    """C(m) for one member; see :func:`inner_counts`."""
+    return inner_counts([m], pars, table)[0]
 
 
 @dataclass(frozen=True)
 class LayerCount:
-    """One inclusion-exclusion layer: all wide squarefree m with
-    omega(m) = k, their number, and the summed inner counts."""
+    """One inclusion-exclusion layer: all wide squarefree m with omega(m)
+    = k, their number, the summed inner counts, and fsum of 1/m (S_k)."""
 
     k: int
     m_count: int
     count: int
+    recip_sum: float
 
 
 @dataclass(frozen=True)
@@ -309,21 +337,16 @@ def inclusion_exclusion(pars: CountParams, table: PrimeTable) -> CountBreakdown:
     depth and from below at odd depth.
     """
     members = wide_squarefree_set(pars, table)
-    k_max = members[-1].k if members else 0
-    layer_m = [0] * (k_max + 1)
-    layer_n = [0] * (k_max + 1)
-    for m in members:
-        layer_m[m.k] += 1
-        layer_n[m.k] += count_isolated_set(m, pars, table)
-
-    per_k = tuple(
-        LayerCount(k=k, m_count=layer_m[k], count=layer_n[k])
-        for k in range(k_max + 1)
-    )
+    counts = iter(inner_counts(members, pars, table))
+    per_k = []
     partials = []
     acc = 0
-    for k in range(k_max + 1):
-        acc += layer_n[k] if k % 2 == 0 else -layer_n[k]
+    for k, layer in groupby(members, key=lambda w: w.k):  # sorted by (k, m)
+        layer = list(layer)
+        count = sum(islice(counts, len(layer)))
+        recip = math.fsum(1.0 / w.m for w in layer)
+        per_k.append(LayerCount(k=k, m_count=len(layer), count=count, recip_sum=recip))
+        acc += count if k % 2 == 0 else -count
         partials.append((k, acc))
 
     direct = direct_counts(pars, table)
@@ -332,7 +355,7 @@ def inclusion_exclusion(pars: CountParams, table: PrimeTable) -> CountBreakdown:
         n_direct=direct.n_direct,
         n_direct_gapform=direct.n_direct_gapform,
         smooth_gap_count=direct.smooth_gap_count,
-        per_k=per_k,
+        per_k=tuple(per_k),
         bonferroni=tuple(partials),
         n_inclusion_exclusion=acc,
     )

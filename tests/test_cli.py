@@ -1,10 +1,19 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from factorgaps import boundary, cli
+from factorgaps import (
+    boundary,
+    build_prime_table,
+    cli,
+    make_params,
+    wide_squarefree_set,
+)
 from factorgaps.cli import main, run_verification
 
 
@@ -90,6 +99,28 @@ def test_enumerate_m_30_c3():
     assert rows == ["0,1,", "1,2,2"]
 
 
+@pytest.mark.parametrize(
+    "x,c,reach", [(10**5, 1.0, 112), (10**8, 1.0, 558), (100, 0.5, 100)]
+)
+def test_enumerate_m_table_reaches_only_small_primes(monkeypatch, table_1e6, x, c, reach):
+    # the table needs to reach only the small-prime cutoff (x itself when E <= 1)
+    limits = []
+
+    def spy(limit):
+        limits.append(limit)
+        return build_prime_table(limit)
+
+    monkeypatch.setattr(cli, "build_prime_table", spy)
+    rc, text = run_cli("enumerate-m", "--x", str(x), "--c", str(c))
+    assert rc == 0
+    assert limits == [reach]
+    if x <= table_1e6.limit:
+        members = wide_squarefree_set(make_params(x, c), table_1e6)
+        assert text.splitlines()[1:] == [
+            f"{w.k},{w.m},{' '.join(map(str, w.primes))}" for w in members
+        ]
+
+
 # ---------------------------------------------------------------- scan
 
 
@@ -130,6 +161,25 @@ def test_scan_single_chunk_starts_no_pool(monkeypatch):
     rc4, b = run_cli(*args, "--workers", "4")
     assert rc1 == rc4 == 0
     assert a == b
+
+
+def test_cli_import_loads_no_mpmath_or_multiprocessing():
+    # count and scan with one worker never use them; they load on first use
+    code = (
+        "import sys, factorgaps.cli; "
+        "print(sorted(m for m in ('mpmath', 'multiprocessing', "
+        "'concurrent.futures.process') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    assert res.stdout.strip() == "[]"
 
 
 def test_scan_csv_shape():

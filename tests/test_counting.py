@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
@@ -14,16 +15,18 @@ from factorgaps import (
     direct_counts,
     factorize,
     inclusion_exclusion,
+    inner_counts,
     is_gap_form,
     is_isolated,
     make_params,
+    primes_in_power_interval,
     segment_factor_scan,
     tuple_reciprocal_sum,
     wide_squarefree_set,
     window_coprime_density,
     window_set,
 )
-from factorgaps import oracle
+from factorgaps import counting, oracle
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +294,86 @@ def test_inner_count_matches_definition_at_150001(table_1e6):
         assert count_isolated_set(by_m[m], pars, table_1e6) == want[m]
 
 
+@settings(max_examples=25, deadline=None)
+@given(x=st.integers(16, 3000), c=st.floats(0.3, 3.0), data=st.data())
+def test_inner_counts_match_oracle(table_small, x, c, data):
+    # the batch runs over the whole wide set, so members share cached
+    # windows; below E = 1 the set is every squarefree m <= x, so the
+    # naive check is drawn from a sample of at most 40 members
+    pars = make_params(x, c)
+    members = wide_squarefree_set(pars, table_small)
+    got = inner_counts(members, pars, table_small)
+    assert len(got) == len(members)
+    picks = range(len(members))
+    if len(members) > 40:
+        picks = data.draw(st.sets(st.sampled_from(picks), min_size=40, max_size=40))
+    for i in picks:
+        assert got[i] == oracle.naive_chi_count(members[i].primes, x, c), members[i]
+
+
+def test_inner_counts_branches(table_small, monkeypatch):
+    # (1000, 1): m = 1 needs no bitmap; the others mark small window
+    # primes (strided) and large ones (index array). Each base prime's
+    # window is cached up to x // p, so some members must cut it at x // m,
+    # and some have non-empty cached windows that start above x // m.
+    x, c = 1000, 1.0
+    pars = make_params(x, c)
+    members = wide_squarefree_set(pars, table_small)
+    calls = []
+    real = counting._unmarked
+
+    def spy(qs, limit):
+        calls.append((qs.tolist(), limit))
+        return real(qs, limit)
+
+    monkeypatch.setattr(counting, "_unmarked", spy)
+    got = inner_counts(members, pars, table_small)
+    assert got == [oracle.naive_chi_count(w.primes, x, c) for w in members]
+
+    # a bitmap exactly for the members with a window prime <= x // m,
+    # built from those window primes only
+    want = []
+    cut = late = 0
+    for w in members:
+        limit = x // w.m
+        cached = [
+            primes_in_power_interval(p, x, c, table_small, cap=x // p) for p in w.primes
+        ]
+        qs = [int(q) for part in cached for q in part if q <= limit]
+        if qs:
+            want.append((qs, limit))
+        cut += bool(qs) and any(part[-1] > limit for part in cached if len(part))
+        late += not qs and any(len(part) for part in cached)
+    assert calls == want
+    assert 0 < len(calls) < len(members)
+    assert cut and late
+    assert any(32 * q <= limit for qs, limit in calls for q in qs)
+    assert any(32 * q > limit for qs, limit in calls for q in qs)
+
+
+def test_unmarked_against_brute_force():
+    # strided primes (32 * q <= limit), index-array primes, and both mixed
+    for qs, limit in (([3, 7], 1000), ([41, 97, 499], 1000), ([2, 31, 32, 997], 1000)):
+        want = sum(all(v % q for q in qs) for v in range(1, limit + 1))
+        assert counting._unmarked(np.array(qs, dtype=np.int64), limit) == want
+
+
+def test_layers_1e6_half_pinned(table_1e6):
+    # per-layer (k, members, N_k) at (1e6, 0.5), where 92 % of the 277 206
+    # members take the no-bitmap shortcut
+    bd = inclusion_exclusion(make_params(10**6, 0.5), table_1e6)
+    assert [(l.k, l.m_count, l.count) for l in bd.per_k] == [
+        (0, 1, 1_000_000),
+        (1, 3936, 2_363_431),
+        (2, 91_505, 2_296_919),
+        (3, 128_184, 1_054_222),
+        (4, 48_636, 208_343),
+        (5, 4939, 13_051),
+        (6, 5, 5),
+    ]
+    assert bd.n_inclusion_exclusion == bd.n_direct == 74_563
+
+
 # ---------------------------------------------------------------- breakdown
 
 
@@ -423,3 +506,12 @@ def test_tuple_sum_agrees_with_layer_membership(table_small, pars30):
         assert tuple_reciprocal_sum(pars30, k, table_small) == pytest.approx(
             direct, rel=1e-13
         )
+
+
+@pytest.mark.parametrize("x,c", [(30, 1.0), (3000, 2.0), (100_000, 0.5), (10**6, 1.0)])
+def test_layer_recip_sum_is_tuple_sum(table_1e6, x, c):
+    # fsum is correctly rounded over the same 1.0 / m terms: bitwise equal
+    pars = make_params(x, c)
+    bd = inclusion_exclusion(pars, table_1e6)
+    for layer in bd.per_k:
+        assert layer.recip_sum == tuple_reciprocal_sum(pars, layer.k, table_1e6)
