@@ -12,13 +12,13 @@ Run: python demos/counting_identity.py [--x 30] [--c 1.0]
 """
 
 import argparse
+import math
 
 from factorgaps import (
     build_prime_table,
     inclusion_exclusion,
     make_params,
     wide_squarefree_set,
-    window_set,
 )
 
 
@@ -44,8 +44,9 @@ def main(x, c):
         for w in members:
             if w.k == 0:
                 continue
-            ws = window_set(w, pars)
-            ivals = ", ".join(f"({p}, {hi:.3f}]" for p, hi in ws.intervals)
+            ivals = ", ".join(
+                f"({p}, {math.exp(pars.gap_exp * math.log(p)):.3f}]" for p in w.primes
+            )
             print(f"    m = {w.m:>4}: {ivals}")
 
     bd = inclusion_exclusion(pars, table)

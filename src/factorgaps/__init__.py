@@ -16,7 +16,6 @@ from .sieve import (
     PrimeTable,
     build_prime_table,
     factorize,
-    mobius,
     primes_in_interval,
     primes_in_power_interval,
     segment_factor_scan,
@@ -40,7 +39,6 @@ from .counting import (
     DirectCounts,
     LayerCount,
     WideSquarefree,
-    WindowSet,
     all_isolated,
     count_isolated_set,
     direct_counts,
@@ -52,7 +50,6 @@ from .counting import (
     tuple_reciprocal_sum,
     wide_squarefree_set,
     window_coprime_density,
-    window_set,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +61,6 @@ __all__ = [
     "PrimeTable",
     "build_prime_table",
     "factorize",
-    "mobius",
     "primes_in_interval",
     "primes_in_power_interval",
     "segment_factor_scan",
@@ -84,7 +80,6 @@ __all__ = [
     "DirectCounts",
     "LayerCount",
     "WideSquarefree",
-    "WindowSet",
     "all_isolated",
     "count_isolated_set",
     "direct_counts",
@@ -96,6 +91,5 @@ __all__ = [
     "tuple_reciprocal_sum",
     "wide_squarefree_set",
     "window_coprime_density",
-    "window_set",
     "__version__",
 ]

@@ -215,47 +215,6 @@ def wide_squarefree_set(pars: CountParams, table: PrimeTable) -> list[WideSquare
     return out
 
 
-@dataclass(frozen=True)
-class WindowSet:
-    """The disjoint windows (p, p**E] above the primes of a wide
-    squarefree integer.
-
-    The coprimality condition of the inner counts only ever asks whether
-    a prime lies in one of these intervals, so the astronomically large
-    product of all window primes is never formed.
-    """
-
-    x: int
-    c: float
-    bases: tuple[int, ...]
-
-    @property
-    def intervals(self) -> tuple[tuple[int, float], ...]:
-        """(base, approximate upper end) pairs, for reporting only."""
-        e = boundary.gap_exponent(self.x, self.c)
-        return tuple((p, math.exp(e * math.log(p))) for p in self.bases)
-
-    def is_disjoint(self) -> bool:
-        return all(
-            boundary.gt_power(self.bases[i + 1], self.bases[i], self.x, self.c)
-            for i in range(len(self.bases) - 1)
-        )
-
-    def window_primes(self, table: PrimeTable) -> np.ndarray:
-        """All primes in any window, ascending."""
-        parts = [primes_in_power_interval(p, self.x, self.c, table) for p in self.bases]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-
-    def coprime_share(self, table: PrimeTable) -> float:
-        """Product of (1 - 1/q) over every window prime q."""
-        qs = self.window_primes(table)
-        return float(np.prod(1.0 - 1.0 / qs.astype(np.float64)))
-
-
-def window_set(m: WideSquarefree, pars: CountParams) -> WindowSet:
-    return WindowSet(x=pars.x, c=pars.c, bases=m.primes)
-
-
 def _unmarked(qs: np.ndarray, limit: int) -> int:
     """#{ 1 <= v <= limit : no q in qs divides v }, for primes q <= limit:
     strided assignment marks the q with 32 * q <= limit, one index array
@@ -371,48 +330,16 @@ def window_coprime_density(
     factor 1/E per window; the deviation shrinks only like 1/log p, so
     callers should treat the prediction as a trend, not a tolerance.
     """
-    ws = window_set(m, pars)
-    return ws.coprime_share(table), pars.gap_exp ** (-m.k)
+    parts = [primes_in_power_interval(p, pars.x, pars.c, table) for p in m.primes]
+    qs = np.concatenate([np.empty(0, dtype=np.int64), *parts])
+    return float(np.prod(1.0 - 1.0 / qs.astype(np.float64))), pars.gap_exp ** (-m.k)
 
 
-def tuple_reciprocal_sum(
-    pars: CountParams,
-    k: int,
-    table: PrimeTable,
-    constrain_product: bool = True,
-) -> float:
-    """Sum of 1/(p_1 ... p_k) over ascending wide chains of small primes.
-
-    Chains satisfy p_{j+1} > p_j**E with every p_j small;
-    ``constrain_product`` additionally imposes p_1 ... p_k <= x, which
-    matches the wide squarefree set. k = 0 gives the empty product, 1.
+def tuple_reciprocal_sum(pars: CountParams, k: int, table: PrimeTable) -> float:
+    """Sum of 1/(p_1 ... p_k) over ascending wide chains of small primes
+    with p_1 ... p_k <= x, i.e. over the wide squarefree m with omega(m)
+    = k (S_k of that layer). k = 0 gives the empty product, 1.
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if k == 0:
-        return 1.0
-    yprimes = _small_primes(pars, table)
-    x, c = pars.x, pars.c
-    terms: list[float] = []
-
-    def extend(prod: int, last: int, depth: int, start: int):
-        for i in range(start, len(yprimes)):
-            q = yprimes[i]
-            if constrain_product and prod * q > x:
-                break
-            if boundary.le_power(q, last, x, c):
-                continue
-            if depth + 1 == k:
-                terms.append(1.0 / (prod * q))
-            else:
-                extend(prod * q, q, depth + 1, i + 1)
-
-    for i, p in enumerate(yprimes):
-        if constrain_product and p > x:
-            break
-        if k == 1:
-            terms.append(1.0 / p)
-        else:
-            extend(p, p, 1, i + 1)
-
-    return math.fsum(terms)
+    return math.fsum(1.0 / w.m for w in wide_squarefree_set(pars, table) if w.k == k)

@@ -168,14 +168,6 @@ def segment_factor_scan(
             yield Factorization(n=lo + j, factors=tuple(facs[j]))
 
 
-def mobius(fact: Factorization) -> int:
-    """Mobius function from a factorization: 0 on square factors, else (-1)^omega."""
-    for _, e in fact.factors:
-        if e >= 2:
-            return 0
-    return -1 if fact.omega % 2 else 1
-
-
 def primes_in_interval(lo: float, hi: float, table: PrimeTable) -> np.ndarray:
     """Primes q with lo < q <= hi, ascending.
 

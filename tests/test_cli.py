@@ -15,6 +15,8 @@ from factorgaps import (
     wide_squarefree_set,
 )
 from factorgaps.cli import main, run_verification
+from factorgaps.gaps import MODE_PER_N, MODE_PER_RANGE
+from factorgaps.sieve import DEFAULT_SEGMENT_SIZE
 
 
 def run_cli(*argv):
@@ -182,6 +184,12 @@ def test_cli_import_loads_no_mpmath_or_multiprocessing():
     assert res.stdout.strip() == "[]"
 
 
+def test_export_list_resolves():
+    import factorgaps
+
+    assert [name for name in factorgaps.__all__ if not hasattr(factorgaps, name)] == []
+
+
 def test_scan_csv_shape():
     rc, text = run_cli("scan", "--min", "16", "--max", "2000", "--c", "1", "--format", "csv")
     assert rc == 0
@@ -229,6 +237,46 @@ def test_range_past_2_53_refused_before_any_allocation(monkeypatch, cmd):
         )
         assert (rc, out) == (2, "")
     cli.RunConfig(subcommand=cmd, lo=2**53 - 100, hi=2**53, c_values=(1.0,)).validate()
+
+
+def test_count_x_past_int64_refused_before_any_allocation(monkeypatch):
+    def no_table(limit):
+        raise AssertionError("the int64 guard must fire before the prime table")
+
+    monkeypatch.setattr(cli, "build_prime_table", no_table)
+    for x in (10**19, 2**63 - 1):
+        rc, out = run_cli("count", "--x", str(x), "--c", "1", "--allow-large")
+        assert (rc, out) == (2, "")
+    cli.RunConfig(subcommand="count", x=2**63 - 2, c_values=(1.0,), allow_large=True).validate()
+
+
+@pytest.mark.parametrize(
+    "argv,fields",
+    [
+        (
+            "scan --min 20 --max 90 --c 2,1 --mode range --workers 2 "
+            "--segment-size 64 --format csv --out s.csv",
+            dict(lo=20, hi=90, c_values=(2.0, 1.0), mode=MODE_PER_RANGE, workers=2,
+                 segment_size=64, fmt="csv", out="s.csv"),
+        ),
+        (
+            "density --min 16 --max 100 --c 0.5",
+            dict(lo=16, hi=100, c_values=(0.5,), mode=MODE_PER_N, workers=1,
+                 segment_size=DEFAULT_SEGMENT_SIZE, fmt="json", out=None),
+        ),
+        (
+            "count --x 200000000 --c 1 --allow-large --out c.json",
+            dict(x=200_000_000, c_values=(1.0,), allow_large=True, out="c.json"),
+        ),
+        ("enumerate-m --x 3000 --c 0.5", dict(x=3000, c_values=(0.5,), allow_large=False)),
+        ("verify --x-max 300 --seed 7", dict(x_max=300, seed=7, c_values=())),
+    ],
+)
+def test_flags_reach_run_config(argv, fields):
+    argv = argv.split()
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    assert cfg.subcommand == argv[0]
+    assert {k: getattr(cfg, k) for k in fields} == fields
 
 
 def test_capacity_error_exit_code(monkeypatch):

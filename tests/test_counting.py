@@ -1,5 +1,4 @@
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from factorgaps import (
     tuple_reciprocal_sum,
     wide_squarefree_set,
     window_coprime_density,
-    window_set,
 )
 from factorgaps import counting, oracle
 
@@ -241,7 +239,6 @@ def test_wide_set_member_invariants(table_small, pars30):
             assert boundary.le_root(p, pars30.x, pars30.c)
         for a, b in zip(w.primes, w.primes[1:]):
             assert boundary.gt_power(b, a, pars30.x, pars30.c)
-        assert window_set(w, pars30).is_disjoint()
 
 
 def test_wide_set_30_c3(table_small):
@@ -468,30 +465,6 @@ def test_tuple_sum_30_frozen(table_small, pars30):
         1 / 6 + 1 / 10 + 1 / 14 + 1 / 15 + 1 / 21 + 1 / 22 + 1 / 26, rel=1e-13
     )
     assert tuple_reciprocal_sum(pars30, 3, table_small) == pytest.approx(1 / 30, rel=1e-13)
-
-
-def test_tuple_sum_unconstrained(table_small, pars30):
-    # recompute both variants with a plain double loop over prime pairs
-    yp = [
-        int(p)
-        for p in table_small.primes
-        if boundary.le_root(int(p), 30, 1.0)
-    ]
-    free = sum(
-        1.0 / (p * q)
-        for p, q in combinations(yp, 2)
-        if boundary.gt_power(q, p, 30, 1.0)
-    )
-    capped = sum(
-        1.0 / (p * q)
-        for p, q in combinations(yp, 2)
-        if boundary.gt_power(q, p, 30, 1.0) and p * q <= 30
-    )
-    assert tuple_reciprocal_sum(pars30, 2, table_small, constrain_product=False) == (
-        pytest.approx(free, rel=1e-13)
-    )
-    assert tuple_reciprocal_sum(pars30, 2, table_small) == pytest.approx(capped, rel=1e-13)
-    assert free > capped
 
 
 def test_tuple_sum_rejects_negative_k(table_small, pars30):

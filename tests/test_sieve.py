@@ -9,7 +9,6 @@ from factorgaps import (
     InsufficientTableError,
     build_prime_table,
     factorize,
-    mobius,
     primes_in_interval,
     primes_in_power_interval,
     segment_factor_scan,
@@ -81,6 +80,9 @@ def test_factorization_product_invariant(table_small):
             prod *= p**e
         assert prod == n
         assert list(fact.primes) == sorted(fact.primes)
+        # with the product and the order, this pins the unique factorization
+        for p in fact.primes:
+            assert p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def test_factorize_insufficient_table():
@@ -123,33 +125,6 @@ def test_segment_scan_insufficient_table():
     small = build_prime_table(10)
     with pytest.raises(InsufficientTableError):
         list(segment_factor_scan(1, 1000, small))
-
-
-def test_mobius_values(table_small):
-    assert mobius(factorize(1, table_small)) == 1
-    assert mobius(factorize(30, table_small)) == -1
-    assert mobius(factorize(12, table_small)) == 0
-
-
-def test_mobius_multiplicative(table_small):
-    rng = random.Random(5)
-    big = build_prime_table(10_000)
-    checked = 0
-    while checked < 200:
-        a = rng.randrange(1, 10_001)
-        b = rng.randrange(1, 10_001)
-        if math.gcd(a, b) != 1:
-            continue
-        assert mobius(factorize(a * b, big)) == mobius(factorize(a, big)) * mobius(
-            factorize(b, big)
-        )
-        checked += 1
-
-
-@pytest.mark.parametrize("x", [10, 100, 1000])
-def test_mobius_floor_sum_identity(table_small, x):
-    total = sum(mobius(factorize(n, table_small)) * (x // n) for n in range(1, x + 1))
-    assert total == 1
 
 
 def test_primes_in_interval_examples(table_small):
