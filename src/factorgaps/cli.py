@@ -98,9 +98,10 @@ class RunConfig:
                         f"--x {self.x} exceeds the {COUNT_X_GUARD} guard; "
                         "pass --allow-large to override"
                     )
-                # the direct count sieves [1, x + 1) with int64 integers
-                if self.x + 1 > np.iinfo(np.int64).max:
-                    raise UsageError(f"--x {self.x} is too large: x + 1 must fit int64")
+            # the direct count sieves [1, x + 1) with int64 integers;
+            # enumerate-m is held to the same reach
+            if self.x + 1 > np.iinfo(np.int64).max:
+                raise UsageError(f"--x {self.x} is too large: x + 1 must fit int64")
         if any(c <= 0 for c in self.c_values):
             raise UsageError("all c values must be > 0")
         if self.workers < 1:
@@ -165,37 +166,30 @@ def ProcessPoolExecutor(*args, **kwargs):
 
 
 def _scan_task(args):
-    lo, hi, thresholds, mode, range_point, segment_size, limit = args
+    lo, hi, thresholds, mode, range_point, segment_size, limit, distribution = args
     table = build_prime_table(limit)
     return scan_range(
-        lo,
-        hi,
-        thresholds,
-        table,
-        mode=mode,
-        range_point=range_point,
-        segment_size=segment_size,
+        lo, hi, thresholds, table, mode, range_point, segment_size,
+        distribution=distribution,
     )
 
 
-def run_scan(cfg: RunConfig) -> gaps.ScanSummary:
+def run_scan(cfg: RunConfig, distribution: bool = True) -> gaps.ScanSummary:
     """Scan [lo, hi) with up to cfg.workers processes, never more than
     there are chunks; the merge law makes the result identical for any
-    worker count."""
+    worker count. ``distribution`` is passed on to scan_range."""
     a, b = cfg.lo, cfg.hi
     thr = tuple(sorted(set(cfg.c_values)))
     range_point = b - 1 if cfg.mode == MODE_PER_RANGE else None
     limit = max(isqrt(b - 1), 2)
     chunk = max(cfg.segment_size, (b - a) // (cfg.workers * 8) + 1)
-    tasks = [
-        (lo, min(lo + chunk, b), thr, cfg.mode, range_point, cfg.segment_size, limit)
-        for lo in range(a, b, chunk)
-    ]
+    knobs = (thr, cfg.mode, range_point, cfg.segment_size, limit, distribution)
+    tasks = [(lo, min(lo + chunk, b), *knobs) for lo in range(a, b, chunk)]
     workers = min(cfg.workers, len(tasks))
     if workers == 1:
-        return _scan_task((a, b, thr, cfg.mode, range_point, cfg.segment_size, limit))
+        return _scan_task((a, b, *knobs))
 
-    total = empty_summary(thr, cfg.mode, range_point)
+    total = empty_summary(thr, cfg.mode, range_point, distribution)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_scan_task, tasks):
             total = merge_summaries(total, part)
@@ -263,12 +257,15 @@ def cmd_scan(cfg: RunConfig, stdout) -> int:
 
 def cmd_density(cfg: RunConfig, stdout) -> int:
     """One row per c with the empirical exceedance share under both
-    threshold conventions, against the limiting density."""
+    threshold conventions, against the limiting density. Only the
+    exceedances are counted; the histogram and moments are scan's."""
     per_n = run_scan(
-        RunConfig(**{**cfg.__dict__, "mode": MODE_PER_N, "subcommand": "scan"})
+        RunConfig(**{**cfg.__dict__, "mode": MODE_PER_N, "subcommand": "scan"}),
+        distribution=False,
     )
     per_range = run_scan(
-        RunConfig(**{**cfg.__dict__, "mode": MODE_PER_RANGE, "subcommand": "scan"})
+        RunConfig(**{**cfg.__dict__, "mode": MODE_PER_RANGE, "subcommand": "scan"}),
+        distribution=False,
     )
     rows = []
     for c in sorted(set(cfg.c_values)):

@@ -107,7 +107,9 @@ class ScanSummary:
     count of eligible n whose ratio exceeds c * ln ln n (mode "per-n") or
     c * ln ln range_point (mode "per-range"). ``sum_gap_fp`` and
     ``sum_gap_sq_fp`` are fixed-point integer sums of gap and gap**2 over
-    eligible n, in units of 1/MOMENT_SCALE.
+    eligible n, in units of 1/MOMENT_SCALE. A summary scanned without
+    the distribution has ``hist``, ``sum_gap_fp`` and ``sum_gap_sq_fp``
+    None: it carries the exceedance counts only.
     """
 
     ranges: tuple[tuple[int, int], ...]
@@ -116,13 +118,15 @@ class ScanSummary:
     range_point: Optional[int]
     total: int
     eligible: int
-    hist: np.ndarray
+    hist: Optional[np.ndarray]
     exceed: dict[float, int]
-    sum_gap_fp: int
-    sum_gap_sq_fp: int
+    sum_gap_fp: Optional[int]
+    sum_gap_sq_fp: Optional[int]
 
     @property
     def mean_gap(self) -> float:
+        if self.hist is None:
+            raise ValueError("summary was scanned without the distribution")
         if self.eligible == 0:
             raise EmptySampleError("no eligible integers scanned")
         return self.sum_gap_fp / MOMENT_SCALE / self.eligible
@@ -134,16 +138,18 @@ class ScanSummary:
         return self.sum_gap_sq_fp / MOMENT_SCALE / self.eligible - m * m
 
     def config(self) -> tuple:
-        return (self.thresholds, self.mode, self.range_point)
+        return (self.thresholds, self.mode, self.range_point, self.hist is not None)
 
 
 def empty_summary(
     thresholds: Iterable[float],
     mode: str = MODE_PER_N,
     range_point: Optional[int] = None,
+    distribution: bool = True,
 ) -> ScanSummary:
     """The identity element for :func:`merge_summaries`."""
     thr = _normalize_thresholds(thresholds)
+    zero = 0 if distribution else None
     return ScanSummary(
         ranges=(),
         thresholds=thr,
@@ -151,10 +157,10 @@ def empty_summary(
         range_point=range_point,
         total=0,
         eligible=0,
-        hist=np.zeros(HIST_BINS + 2, dtype=np.int64),
+        hist=np.zeros(HIST_BINS + 2, dtype=np.int64) if distribution else None,
         exceed={c: 0 for c in thr},
-        sum_gap_fp=0,
-        sum_gap_sq_fp=0,
+        sum_gap_fp=zero,
+        sum_gap_sq_fp=zero,
     )
 
 
@@ -217,6 +223,10 @@ def _tile(out, period, off):
     out[out.size - r :] = period[:r]
 
 
+def _int_dtype(b):
+    return np.int32 if b - 1 <= 2**31 - 1 else np.int64
+
+
 class _Workspace:
     """Per-integer arrays for segments of at most ``size`` integers below
     ``b``, allocated once and reused by every segment through slices and
@@ -224,12 +234,27 @@ class _Workspace:
 
     def __init__(self, size: int, b: int):
         self.size, self.b = size, b
-        self.dtype = np.int32 if b - 1 <= 2**31 - 1 else np.int64
+        self.dtype = _int_dtype(b)
         self.idx = np.arange(size, dtype=self.dtype)  # n - lo
         self.prod, self.rem = np.empty((2, size), dtype=self.dtype)
         self.last_log, self.max_ratio, self.tmp, self.tmp2 = np.empty((4, size))
         self.bins = np.empty(size, dtype=np.int64)
         self.masks = np.empty((3, size), dtype=bool)
+
+
+_last_workspace: Optional[_Workspace] = None
+
+
+def _scan_workspace(size: int, b: int) -> _Workspace:
+    """This process's scan workspace, kept from the last scan and rebuilt
+    only for another segment length or dtype, so the tasks of a fanned-out
+    scan fault its pages in once per worker; bound checks follow ``b``."""
+    global _last_workspace
+    ws = _last_workspace
+    if ws is None or ws.size != size or ws.dtype != _int_dtype(b):
+        ws = _last_workspace = _Workspace(size, b)
+    ws.b = b
+    return ws
 
 
 def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
@@ -288,18 +313,23 @@ def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
     return rem, last_log, max_ratio
 
 
-def _scan_segment(lo, hi, thresholds, mode, range_point, small_primes, prime_logs, ws):
+def _scan_segment(
+    lo, hi, thresholds, mode, range_point, distribution, small_primes, prime_logs, ws
+):
     """Vectorized scan of [lo, hi): per-integer gap stats from
     :func:`_sieve_segment`, reduced to one :class:`ScanSummary`. An
     ineligible n has ratio 0, which exceeds no (positive) bound, and gap
     log 0 = -inf, which bins to the corrected underflow slot and is
-    zeroed before the moments; eligible n see the same float operations."""
+    zeroed before the moments; eligible n see the same float operations.
+    Without ``distribution`` only eligible and the exceedances are
+    counted, and a per-range scan takes no per-n log at all."""
     _, _, ratio = _sieve_segment(lo, hi, small_primes, prime_logs, ws)
     seglen = hi - lo
     lnln, buf, bins, mask = (a[:seglen] for a in (ws.tmp, ws.tmp2, ws.bins, ws.masks[0]))
     eligible = int(np.count_nonzero(ratio))
-    np.add(ws.idx[:seglen], float(lo), out=lnln)  # exact: n < 2**53
-    np.log(np.log(lnln, out=lnln), out=lnln)
+    if distribution or mode == MODE_PER_N:
+        np.add(ws.idx[:seglen], float(lo), out=lnln)  # exact: n < 2**53
+        np.log(np.log(lnln, out=lnln), out=lnln)
     exceed = {}
     for c in thresholds:
         if mode == MODE_PER_N:
@@ -308,23 +338,25 @@ def _scan_segment(lo, hi, thresholds, mode, range_point, small_primes, prime_log
             bound = max(c * math.log(math.log(range_point)), 0.0)
         exceed[c] = int(np.count_nonzero(np.greater(ratio, bound, out=mask)))
 
-    with np.errstate(divide="ignore"):
-        gap = np.log(ratio, out=ratio)
-    np.log(lnln, out=buf)  # ln ln ln n, from ln ln n
-    np.subtract(gap, buf, out=buf)
-    buf -= HIST_LO
-    buf *= HIST_INV_WIDTH
-    np.clip(np.floor(buf, out=buf), -1, HIST_BINS, out=buf)
-    buf += 1  # slot 0 is the underflow
-    np.copyto(bins, buf, casting="unsafe")
-    hist = np.bincount(bins, minlength=HIST_BINS + 2)
-    hist[0] -= seglen - eligible
+    hist = sum_fp = sum_sq_fp = None
+    if distribution:
+        with np.errstate(divide="ignore"):
+            gap = np.log(ratio, out=ratio)
+        np.log(lnln, out=buf)  # ln ln ln n, from ln ln n
+        np.subtract(gap, buf, out=buf)
+        buf -= HIST_LO
+        buf *= HIST_INV_WIDTH
+        np.clip(np.floor(buf, out=buf), -1, HIST_BINS, out=buf)
+        buf += 1  # slot 0 is the underflow
+        np.copyto(bins, buf, casting="unsafe")
+        hist = np.bincount(bins, minlength=HIST_BINS + 2)
+        hist[0] -= seglen - eligible
 
-    np.maximum(gap, 0, out=gap)  # -inf -> 0; an eligible gap is > 0
-    np.multiply(gap, MOMENT_SCALE, out=buf)
-    sum_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
-    np.multiply(np.multiply(gap, gap, out=buf), MOMENT_SCALE, out=buf)
-    sum_sq_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
+        np.maximum(gap, 0, out=gap)  # -inf -> 0; an eligible gap is > 0
+        np.multiply(gap, MOMENT_SCALE, out=buf)
+        sum_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
+        np.multiply(np.multiply(gap, gap, out=buf), MOMENT_SCALE, out=buf)
+        sum_sq_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
 
     return ScanSummary(
         ranges=((lo, hi),),
@@ -348,6 +380,8 @@ def scan_range(
     mode: str = MODE_PER_N,
     range_point: Optional[int] = None,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
+    *,
+    distribution: bool = True,
 ) -> ScanSummary:
     """Scan [a, b) and summarize the gap statistic distribution.
 
@@ -368,6 +402,10 @@ def scan_range(
         integer scanned.
     segment_size : int
         Sieve segment length; results are independent of it.
+    distribution : bool
+        Whether to build the histogram and moments; without them the
+        summary holds total, eligible and the exceedances only, and its
+        ``hist``, ``sum_gap_fp`` and ``sum_gap_sq_fp`` are None.
 
     The result is deterministic and identical for any segmentation or
     parallel split of [a, b), because every accumulator is an integer.
@@ -385,21 +423,22 @@ def scan_range(
     if mode == MODE_PER_N:
         range_point = None
 
-    ws = _Workspace(min(segment_size, b - a), b)
-    total = empty_summary(thr, mode, range_point)
+    ws = _scan_workspace(min(segment_size, b - a), b)
+    total = empty_summary(thr, mode, range_point, distribution)
     for lo in range(a, b, segment_size):
         hi = min(lo + segment_size, b)
-        total = merge_summaries(
-            total,
-            _scan_segment(lo, hi, thr, mode, range_point, small_primes, prime_logs, ws),
+        part = _scan_segment(
+            lo, hi, thr, mode, range_point, distribution, small_primes, prime_logs, ws
         )
+        total = merge_summaries(total, part)
     return total
 
 
 def merge_summaries(s1: ScanSummary, s2: ScanSummary) -> ScanSummary:
     """Combine summaries over disjoint ranges; exact and commutative."""
     if s1.config() != s2.config():
-        raise ValueError("summaries have different thresholds or mode")
+        raise ValueError("summaries have different thresholds, mode or kind")
+    dist = s1.hist is not None
     return ScanSummary(
         ranges=_normalize_ranges(s1.ranges + s2.ranges),
         thresholds=s1.thresholds,
@@ -407,10 +446,10 @@ def merge_summaries(s1: ScanSummary, s2: ScanSummary) -> ScanSummary:
         range_point=s1.range_point,
         total=s1.total + s2.total,
         eligible=s1.eligible + s2.eligible,
-        hist=s1.hist + s2.hist,
+        hist=s1.hist + s2.hist if dist else None,
         exceed={c: s1.exceed[c] + s2.exceed[c] for c in s1.thresholds},
-        sum_gap_fp=s1.sum_gap_fp + s2.sum_gap_fp,
-        sum_gap_sq_fp=s1.sum_gap_sq_fp + s2.sum_gap_sq_fp,
+        sum_gap_fp=s1.sum_gap_fp + s2.sum_gap_fp if dist else None,
+        sum_gap_sq_fp=s1.sum_gap_sq_fp + s2.sum_gap_sq_fp if dist else None,
     )
 
 

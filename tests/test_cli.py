@@ -250,6 +250,17 @@ def test_count_x_past_int64_refused_before_any_allocation(monkeypatch):
     cli.RunConfig(subcommand="count", x=2**63 - 2, c_values=(1.0,), allow_large=True).validate()
 
 
+def test_enumerate_m_x_past_int64_refused_before_any_allocation(monkeypatch):
+    def no_table(limit):
+        raise AssertionError("the int64 guard must fire before the prime table")
+
+    monkeypatch.setattr(cli, "build_prime_table", no_table)
+    for x in (10**19, 2**63 - 1):
+        rc, out = run_cli("enumerate-m", "--x", str(x), "--c", "1")
+        assert (rc, out) == (2, "")
+    cli.RunConfig(subcommand="enumerate-m", x=2**63 - 2, c_values=(1.0,)).validate()
+
+
 @pytest.mark.parametrize(
     "argv,fields",
     [
@@ -304,6 +315,30 @@ def test_density_rows():
     assert len(one["partial_sums"]) == 9
     assert one["empirical_per_n"] != one["empirical_per_range"]
     assert one["deviation"] == pytest.approx(one["empirical"] - one["theoretical"])
+
+
+def test_density_pinned_to_scan_counts_without_histogram(monkeypatch):
+    # test_pinned_density_at_1e6's counts, read back from the density rows
+    summaries = []
+    true_run_scan = cli.run_scan
+
+    def spy(*args, **kwargs):
+        summaries.append(true_run_scan(*args, **kwargs))
+        return summaries[-1]
+
+    monkeypatch.setattr(cli, "run_scan", spy)
+    rc, text = run_cli("density", "--min", "16", "--max", "1000000", "--c", "0.5,1,2")
+    assert rc == 0
+    doc = json.loads(text)
+    assert doc["eligible"] == 921_259
+    exceed = {0.5: 898_633, 1.0: 695_369, 2.0: 331_203}
+    for row in doc["rows"]:
+        assert row["empirical_per_n"] == exceed[row["c"]] / 921_259
+        assert row["empirical"] == row["empirical_per_n"]
+    one = next(row for row in doc["rows"] if row["c"] == 1)
+    assert one["empirical_per_range"] == 679_873 / 921_259
+    assert [s.mode for s in summaries] == [MODE_PER_N, MODE_PER_RANGE]
+    assert all(s.hist is None and s.sum_gap_fp is None for s in summaries)
 
 
 def test_density_csv():

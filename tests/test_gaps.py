@@ -18,6 +18,7 @@ from factorgaps import (
     segment_factor_scan,
     theoretical_density,
 )
+from factorgaps import gaps as gaps_module
 from factorgaps import oracle
 from factorgaps.gaps import (
     MODE_PER_N,
@@ -443,6 +444,124 @@ def test_scan_moments_match_floats(table_small):
     mean = sum(gaps) / len(gaps)
     var = sum(g * g for g in gaps) / len(gaps) - mean * mean
     assert s.var_gap == pytest.approx(var, abs=1e-9)
+
+
+# ---------------------------------------------------------------- exceedance-only scans
+
+
+def exceedances_equal(a, b):
+    return (a.ranges, a.total, a.eligible, a.exceed) == (b.ranges, b.total, b.eligible, b.exceed)
+
+
+NEAR_2_31 = st.integers(2**31 - 5000, 2**31 + 299)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.one_of(st.integers(16, 2**31 + 299), NEAR_2_31),
+    length=st.integers(1, 4000),
+    segment_size=st.integers(1, 5000),
+    mode=st.sampled_from([MODE_PER_N, MODE_PER_RANGE]),
+    thresholds=st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4),
+)
+@example(a=2**31 - 2000, length=4000, segment_size=1000, mode=MODE_PER_RANGE,
+         thresholds=[0.5, 1.0, 2.0])
+def test_exceedance_only_scan_equals_full_scan(a, length, segment_size, mode, thresholds):
+    b = min(a + length, 2**31 + 300)
+    kw = dict(mode=mode, segment_size=segment_size)
+    full = scan_range(a, b, thresholds, TABLE_5E4, **kw)
+    only = scan_range(a, b, thresholds, TABLE_5E4, **kw, distribution=False)
+    assert exceedances_equal(only, full)
+    assert only.range_point == full.range_point
+    assert (only.hist, only.sum_gap_fp, only.sum_gap_sq_fp) == (None, None, None)
+
+
+def test_exceedance_only_per_range_bound_below_zero(table_small):
+    # test_scan_per_range_bound_below_zero's range, without the histogram
+    kw = dict(mode=MODE_PER_RANGE, range_point=2)
+    s = scan_range(16, 5_000, [1.0], table_small, **kw, distribution=False)
+    assert s.exceed == {1.0: s.eligible}
+    assert exceedances_equal(s, scan_range(16, 5_000, [1.0], table_small, **kw))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    b=st.integers(17, 60_000),
+    cut_seeds=st.lists(st.floats(0, 1), max_size=4),
+    segment_size=st.integers(64, 20_000),
+    mode=st.sampled_from([MODE_PER_N, MODE_PER_RANGE]),
+)
+def test_exceedance_only_merge_law(table_small, b, cut_seeds, segment_size, mode):
+    thr = (0.5, 1.0, 2.0)
+    kw = dict(mode=mode, range_point=b - 1, segment_size=segment_size, distribution=False)
+    direct = scan_range(16, b, thr, table_small, **kw)
+    cuts = sorted({16 + int(u * (b - 16)) for u in cut_seeds} - {16, b})
+    merged = empty_summary(thr, mode, direct.range_point, distribution=False)
+    for a, z in zip([16] + cuts, cuts + [b]):
+        merged = merge_summaries(merged, scan_range(a, z, thr, table_small, **kw))
+    assert exceedances_equal(merged, direct)
+    assert merged.config() == direct.config()
+    assert (merged.hist, merged.sum_gap_fp, merged.sum_gap_sq_fp) == (None, None, None)
+
+
+def test_exceedance_only_summary_refuses_moments_and_mixing(table_small):
+    full = scan_range(16, 1_000, [1.0], table_small)
+    only = scan_range(1_000, 2_000, [1.0], table_small, distribution=False)
+    assert full.config() != only.config()
+    for s1, s2 in ((full, only), (only, full), (empty_summary([1.0]), only)):
+        with pytest.raises(ValueError):
+            merge_summaries(s1, s2)
+    with pytest.raises(ValueError):
+        only.mean_gap
+    with pytest.raises(ValueError):
+        only.var_gap
+    empty = empty_summary([1.0], distribution=False)
+    assert exceedances_equal(merge_summaries(empty, only), only)
+
+
+def workspace_spy(monkeypatch):
+    """Record each _Workspace the scans build, starting from none kept."""
+    built = []
+
+    class Spy(gaps_module._Workspace):
+        def __init__(self, size, b):
+            built.append((size, b))
+            super().__init__(size, b)
+
+    monkeypatch.setattr(gaps_module, "_Workspace", Spy)
+    monkeypatch.setattr(gaps_module, "_last_workspace", None)
+    return built
+
+
+@pytest.mark.parametrize(
+    "first,second,builds",
+    [
+        ((16, 20_000), (50_000, 70_000), 1),  # same length and dtype: reused
+        ((2**31 - 9000, 2**31 - 1000), (2**31 - 4000, 2**31 + 4000), 2),  # to int64
+        ((2**31 - 4000, 2**31 + 4000), (2**31 - 9000, 2**31 - 1000), 2),  # to int32
+        ((2**31 + 100, 2**31 + 5000), (2**31 - 4000, 2**31 + 4000), 1),  # both int64
+    ],
+)
+def test_scans_in_one_process_share_a_workspace(monkeypatch, first, second, builds):
+    built = workspace_spy(monkeypatch)
+    thr, kw = (0.5, 1.0, 2.0), dict(segment_size=4096)
+    shared = [scan_range(a, b, thr, TABLE_5E4, **kw) for a, b in (first, second)]
+    assert len(built) == builds
+    assert all(size == 4096 for size, _ in built)
+    for (a, b), got in zip((first, second), shared):
+        monkeypatch.setattr(gaps_module, "_last_workspace", None)
+        assert summaries_equal(got, scan_range(a, b, thr, TABLE_5E4, **kw))
+        assert exceedances_equal(
+            scan_range(a, b, thr, TABLE_5E4, **kw, distribution=False), got
+        )
+
+
+def test_workspace_rebuilt_for_another_segment_length(monkeypatch):
+    built = workspace_spy(monkeypatch)
+    scan_range(16, 20_000, [1.0], TABLE_5E4, segment_size=4096)
+    scan_range(16, 20_000, [1.0], TABLE_5E4, segment_size=1000)
+    scan_range(16, 2_000, [1.0], TABLE_5E4, segment_size=4096)  # shorter than a segment
+    assert [size for size, _ in built] == [4096, 1000, 1984]
 
 
 # ---------------------------------------------------------------- densities
