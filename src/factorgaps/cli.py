@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -176,16 +177,21 @@ def _scan_task(args):
 
 def run_scan(cfg: RunConfig, distribution: bool = True) -> gaps.ScanSummary:
     """Scan [lo, hi) with up to cfg.workers processes, never more than
-    there are chunks; the merge law makes the result identical for any
-    worker count. ``distribution`` is passed on to scan_range."""
+    there are CPUs (said on stderr) or chunks; the merge law makes the
+    result identical for any worker count. ``distribution`` is passed on
+    to scan_range."""
     a, b = cfg.lo, cfg.hi
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    if workers < cfg.workers:
+        print(f"note: --workers {cfg.workers} clamped to {workers}, the CPU count",
+              file=sys.stderr)
     thr = tuple(sorted(set(cfg.c_values)))
     range_point = b - 1 if cfg.mode == MODE_PER_RANGE else None
     limit = max(isqrt(b - 1), 2)
-    chunk = max(cfg.segment_size, (b - a) // (cfg.workers * 8) + 1)
+    chunk = max(cfg.segment_size, (b - a) // (workers * 8) + 1)
     knobs = (thr, cfg.mode, range_point, cfg.segment_size, limit, distribution)
     tasks = [(lo, min(lo + chunk, b), *knobs) for lo in range(a, b, chunk)]
-    workers = min(cfg.workers, len(tasks))
+    workers = min(workers, len(tasks))
     if workers == 1:
         return _scan_task((a, b, *knobs))
 

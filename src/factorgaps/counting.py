@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import boundary
-from .gaps import _sieve_segment, _sieving_primes, _Workspace
+from .gaps import _finish_blocks, _sieve_segment, _sieving_primes, _Workspace
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     Factorization,
@@ -131,25 +131,27 @@ def direct_counts(pars: CountParams, table: PrimeTable) -> DirectCounts:
     n_gapform = n_smooth = 0
     for lo in range(1, pars.x + 1, DEFAULT_SEGMENT_SIZE):
         hi = min(lo + DEFAULT_SEGMENT_SIZE, pars.x + 1)
-        rem, last_log, max_ratio = _sieve_segment(lo, hi, primes, logs, ws)
-        gapform, smooth, ties = ws.masks[:, : hi - lo]
-        dist = ws.tmp[: hi - lo]
-        # max_ratio is 0 for omega <= 1, which is gap-form and never a tie
-        np.less_equal(max_ratio, e, out=gapform)
-        np.less(np.abs(np.subtract(max_ratio, e, out=dist), out=dist), tie_eps, out=ties)
-        ties &= np.greater(max_ratio, 0, out=smooth)
-        for j in np.flatnonzero(ties):
-            gapform[j] = is_gap_form(factorize(lo + int(j), table), pars)
-        # Smooth: rem <= y and (rem > 1 or last_log <= log y), as the
-        # largest prime is rem if rem > 1, else the last sieved one (n = 1
-        # has neither: rem = 1, last_log = inf). Logs of distinct primes
-        # differ by far more than an ulp: the log test is exact.
-        np.less_equal(last_log, math.log(y), out=smooth)
-        smooth |= np.greater(rem, 1, out=ties)
-        smooth &= np.less_equal(rem, y, out=ties)
-        smooth &= gapform
-        n_gapform += int(np.count_nonzero(gapform))
-        n_smooth += int(np.count_nonzero(smooth))
+        _sieve_segment(lo, hi, primes, logs, ws)
+        for sl, _, cof, max_ratio in _finish_blocks(lo, hi, ws):
+            gapform, smooth, ties = ws.masks[:, : max_ratio.size]
+            dist = ws.buf[: max_ratio.size]
+            # max_ratio is 0 for omega <= 1, which is gap-form and never a tie
+            np.less_equal(max_ratio, e, out=gapform)
+            np.less(np.abs(np.subtract(max_ratio, e, out=dist), out=dist), tie_eps, out=ties)
+            ties &= np.greater(max_ratio, 0, out=smooth)
+            for j in np.flatnonzero(ties):
+                gapform[j] = is_gap_form(factorize(lo + sl.start + int(j), table), pars)
+            # Smooth: cof <= y and (cof > 1 or last_log <= log y), as the
+            # largest prime is cof if cof > 1, else the last sieved one (n =
+            # 1 has neither: cof = 1, last_log = inf). cof is an exact
+            # integer, and logs of distinct primes differ by far more than
+            # an ulp: both tests are exact.
+            np.less_equal(ws.last_log[sl], math.log(y), out=smooth)
+            smooth |= np.greater(cof, 1, out=ties)
+            smooth &= np.less_equal(cof, y, out=ties)
+            smooth &= gapform
+            n_gapform += int(np.count_nonzero(gapform))
+            n_smooth += int(np.count_nonzero(smooth))
 
     return DirectCounts(
         n_direct=n_gapform - n_smooth,

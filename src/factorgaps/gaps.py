@@ -42,6 +42,7 @@ HIST_BINS = 400  # in-range bins; slots 0 and HIST_BINS+1 are under/overflow
 # segments stay below MAX_SEGMENT_SIZE.
 MOMENT_SCALE = 1 << 36
 MAX_SEGMENT_SIZE = 1 << 22
+POST_BLOCK = 1 << 15  # integers per post-pass block; results do not depend on it
 
 MAX_SCAN_END = 2**53  # the post-pass's float64 n is exact below this
 
@@ -228,18 +229,22 @@ def _int_dtype(b):
 
 
 class _Workspace:
-    """Per-integer arrays for segments of at most ``size`` integers below
-    ``b``, allocated once and reused by every segment through slices and
-    ``out=``; pages of an array a caller never writes are never touched."""
+    """Arrays for segments of at most ``size`` integers below ``b``, made
+    once and reused through slices and ``out=``: four per integer, a
+    ceil(size/17) scratch for the strided loop, where only primes >= 17
+    strike, and post-pass block buffers; untouched pages are never faulted."""
 
     def __init__(self, size: int, b: int):
         self.size, self.b = size, b
         self.dtype = _int_dtype(b)
         self.idx = np.arange(size, dtype=self.dtype)  # n - lo
-        self.prod, self.rem = np.empty((2, size), dtype=self.dtype)
-        self.last_log, self.max_ratio, self.tmp, self.tmp2 = np.empty((4, size))
-        self.bins = np.empty(size, dtype=np.int64)
-        self.masks = np.empty((3, size), dtype=bool)
+        self.prod = np.empty(size, dtype=self.dtype)
+        self.last_log, self.max_ratio = np.empty((2, size))
+        self.tmp = np.empty(-(-size // 17))
+        self.block = min(POST_BLOCK, size)
+        self.n, self.cof, self.buf = np.empty((3, self.block))
+        self.bins = np.empty(self.block, dtype=np.int64)
+        self.masks = np.empty((3, self.block), dtype=bool)
 
 
 _last_workspace: Optional[_Workspace] = None
@@ -260,22 +265,18 @@ def _scan_workspace(size: int, b: int) -> _Workspace:
 def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
     """Segmented sieve of [lo, hi) by the primes up to sqrt(hi - 1).
 
-    Returns views into ``ws``, valid until its next use: rem, the cofactor
-    left (1 or the largest prime factor); last_log, the log of the largest
+    Leaves in ``ws``, for :func:`_finish_blocks`: prod, the product of
+    every sieved prime power dividing n; last_log, the log of the largest
     sieved prime factor (+inf if none); and max_ratio, the largest ratio of
-    logs of consecutive distinct prime factors (0 exactly when omega <= 1,
-    else > 1). Primes go in increasing order, so each integer sees its
-    factors ascending and the running maximum needs only the previous
-    factor's log; last_log starts at +inf so a first factor's update
-    (lp / inf = 0) is a no-op. The first powers of PRESIEVE_PRIMES come
-    from a tiled pattern; prod collects every sieved prime power dividing
-    n, so rem = n // prod."""
+    logs of consecutive distinct sieved prime factors. Primes go in
+    increasing order, so each integer sees its factors ascending and the
+    running maximum needs only the previous factor's log; last_log starts
+    at +inf so a first factor's update (lp / inf = 0) is a no-op. The first
+    powers of PRESIEVE_PRIMES come from a tiled pattern."""
     seglen = hi - lo
     if seglen > ws.size or hi > ws.b:
         raise ValueError(f"[{lo}, {hi}) does not fit the workspace")
-    prod, rem, last_log, max_ratio, tmp = (
-        a[:seglen] for a in (ws.prod, ws.rem, ws.last_log, ws.max_ratio, ws.tmp)
-    )
+    prod, last_log, max_ratio = (a[:seglen] for a in (ws.prod, ws.last_log, ws.max_ratio))
     root = isqrt(hi - 1)
     k = sum(p <= root for p in PRESIEVE_PRIMES)
     pattern = _presieve_pattern(tuple(small_primes[:k]), tuple(prime_logs[:k]), ws.dtype)
@@ -291,7 +292,7 @@ def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
         if p > PRESIEVE_PRIMES[-1]:
             ll = last_log[start::p]
             mr = max_ratio[start::p]
-            np.maximum(mr, np.divide(lp, ll, out=tmp[: ll.size]), out=mr)
+            np.maximum(mr, np.divide(lp, ll, out=ws.tmp[: ll.size]), out=mr)
             ll[...] = lp
             prod[start::p] *= p
         # positions holding p^k are exactly the p^k strides, so higher
@@ -303,43 +304,54 @@ def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
                 break
             prod[start_d::d] *= p
             d *= p
-    np.add(ws.idx[:seglen], lo, out=rem)
-    np.floor_divide(rem, prod, out=rem)
 
-    # Surviving cofactors are prime; rem == 1 contributes log 1 = 0 and
-    # untouched slots have last_log = inf, so both drop out of the max.
-    np.divide(np.log(rem, out=tmp), last_log, out=tmp)
-    np.maximum(max_ratio, tmp, out=max_ratio)
-    return rem, last_log, max_ratio
+
+def _finish_blocks(lo, hi, ws):
+    """Finish the sieved [lo, hi) in blocks of ``ws.block`` integers,
+    yielding per block its slice of the segment, n (float64, exact below
+    2**53), the cofactor n / prod (exact, as prod divides n: 1 or the
+    largest prime factor) in block buffers that the next block overwrites,
+    and max_ratio's view with the cofactor's ratio taken in (0 exactly when
+    omega <= 1, else > 1). log 1 = 0 and last_log = inf drop out of the max."""
+    for j in range(0, hi - lo, ws.block):
+        sl = slice(j, min(j + ws.block, hi - lo))
+        n, cof, buf = (a[: sl.stop - j] for a in (ws.n, ws.cof, ws.buf))
+        np.add(ws.idx[sl], float(lo), out=n)
+        np.divide(n, ws.prod[sl], out=cof)
+        np.divide(np.log(cof, out=buf), ws.last_log[sl], out=buf)
+        ratio = np.maximum(ws.max_ratio[sl], buf, out=ws.max_ratio[sl])
+        yield sl, n, cof, ratio
 
 
 def _scan_segment(
     lo, hi, thresholds, mode, range_point, distribution, small_primes, prime_logs, ws
 ):
-    """Vectorized scan of [lo, hi): per-integer gap stats from
-    :func:`_sieve_segment`, reduced to one :class:`ScanSummary`. An
+    """Vectorized scan of [lo, hi): :func:`_sieve_segment`, then per block
+    of :func:`_finish_blocks` the counts of one :class:`ScanSummary`. An
     ineligible n has ratio 0, which exceeds no (positive) bound, and gap
     log 0 = -inf, which bins to the corrected underflow slot and is
     zeroed before the moments; eligible n see the same float operations.
     Without ``distribution`` only eligible and the exceedances are
     counted, and a per-range scan takes no per-n log at all."""
-    _, _, ratio = _sieve_segment(lo, hi, small_primes, prime_logs, ws)
-    seglen = hi - lo
-    lnln, buf, bins, mask = (a[:seglen] for a in (ws.tmp, ws.tmp2, ws.bins, ws.masks[0]))
-    eligible = int(np.count_nonzero(ratio))
-    if distribution or mode == MODE_PER_N:
-        np.add(ws.idx[:seglen], float(lo), out=lnln)  # exact: n < 2**53
-        np.log(np.log(lnln, out=lnln), out=lnln)
-    exceed = {}
-    for c in thresholds:
-        if mode == MODE_PER_N:
-            bound = np.multiply(c, lnln, out=buf)
-        else:  # a bound <= 0 (range_point < 3) passes every ratio > 1, not 0
-            bound = max(c * math.log(math.log(range_point)), 0.0)
-        exceed[c] = int(np.count_nonzero(np.greater(ratio, bound, out=mask)))
-
-    hist = sum_fp = sum_sq_fp = None
+    _sieve_segment(lo, hi, small_primes, prime_logs, ws)
+    eligible, exceed = 0, dict.fromkeys(thresholds, 0)
+    hist, sum_fp, sum_sq_fp = (None,) * 3
     if distribution:
+        hist, sum_fp, sum_sq_fp = np.zeros(HIST_BINS + 2, dtype=np.int64), 0, 0
+    for _, lnln, _, ratio in _finish_blocks(lo, hi, ws):
+        buf, bins, mask = (a[: ratio.size] for a in (ws.buf, ws.bins, ws.masks[0]))
+        block_eligible = int(np.count_nonzero(ratio))
+        eligible += block_eligible
+        if distribution or mode == MODE_PER_N:
+            np.log(np.log(lnln, out=lnln), out=lnln)  # n -> ln ln n
+        for c in thresholds:
+            if mode == MODE_PER_N:
+                bound = np.multiply(c, lnln, out=buf)
+            else:  # a bound <= 0 (range_point < 3) passes every ratio > 1, not 0
+                bound = max(c * math.log(math.log(range_point)), 0.0)
+            exceed[c] += int(np.count_nonzero(np.greater(ratio, bound, out=mask)))
+        if not distribution:
+            continue
         with np.errstate(divide="ignore"):
             gap = np.log(ratio, out=ratio)
         np.log(lnln, out=buf)  # ln ln ln n, from ln ln n
@@ -349,21 +361,21 @@ def _scan_segment(
         np.clip(np.floor(buf, out=buf), -1, HIST_BINS, out=buf)
         buf += 1  # slot 0 is the underflow
         np.copyto(bins, buf, casting="unsafe")
-        hist = np.bincount(bins, minlength=HIST_BINS + 2)
-        hist[0] -= seglen - eligible
+        hist += np.bincount(bins, minlength=HIST_BINS + 2)
+        hist[0] -= ratio.size - block_eligible
 
         np.maximum(gap, 0, out=gap)  # -inf -> 0; an eligible gap is > 0
         np.multiply(gap, MOMENT_SCALE, out=buf)
-        sum_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
+        sum_fp += int(np.rint(buf, out=buf).sum(dtype=np.int64))
         np.multiply(np.multiply(gap, gap, out=buf), MOMENT_SCALE, out=buf)
-        sum_sq_fp = int(np.rint(buf, out=buf).sum(dtype=np.int64))
+        sum_sq_fp += int(np.rint(buf, out=buf).sum(dtype=np.int64))
 
     return ScanSummary(
         ranges=((lo, hi),),
         thresholds=thresholds,
         mode=mode,
         range_point=range_point,
-        total=seglen,
+        total=hi - lo,
         eligible=eligible,
         hist=hist,
         exceed=exceed,

@@ -15,7 +15,7 @@ from factorgaps import (
     wide_squarefree_set,
 )
 from factorgaps.cli import main, run_verification
-from factorgaps.gaps import MODE_PER_N, MODE_PER_RANGE
+from factorgaps.gaps import MODE_PER_N, MODE_PER_RANGE, empty_summary
 from factorgaps.sieve import DEFAULT_SEGMENT_SIZE
 
 
@@ -163,6 +163,58 @@ def test_scan_single_chunk_starts_no_pool(monkeypatch):
     rc4, b = run_cli(*args, "--workers", "4")
     assert rc1 == rc4 == 0
     assert a == b
+
+
+def fake_pool(monkeypatch, started, run=True):
+    """Replace the CLI's process pool by one that forks nothing: it records
+    (max_workers, tasks) and runs the tasks in this process, or with
+    ``run`` False returns an empty summary per task."""
+
+    class Pool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            started.append((self.max_workers, len(tasks)))
+            if run:
+                return map(fn, tasks)
+            # a task is (lo, hi, thresholds, mode, range_point, ..., distribution)
+            return [empty_summary(t[2], t[3], t[4], t[-1]) for t in tasks]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+
+
+@pytest.mark.parametrize("requested,cpus,want", [(1000, 3, 3), (3, 3, 3), (2, 3, 2), (4, None, 1)])
+def test_scan_workers_clamped_to_cpu_count(monkeypatch, capsys, requested, cpus, want):
+    args = ("scan", "--min", "16", "--max", "300000", "--c", "1", "--segment-size", "4096")
+    rc1, a = run_cli(*args, "--workers", "1")
+    started = []
+    fake_pool(monkeypatch, started)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    rc, b = run_cli(*args, "--workers", str(requested))
+    assert rc1 == rc == 0 and a == b
+    assert [w for w, _ in started] == ([want] if want > 1 else [])
+    err = capsys.readouterr().err
+    assert (f"--workers {requested} clamped to {want}" in err) == (requested > want)
+
+
+def test_huge_worker_request_forks_only_the_cpu_count(monkeypatch, capsys):
+    # unclamped, 1000 workers would split [16, 1e8) into 96 chunks and fork 96
+    started = []
+    fake_pool(monkeypatch, started, run=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rc, _ = run_cli("scan", "--min", "16", "--max", "100000000", "--c", "1",
+                    "--workers", "1000")
+    assert rc == 0
+    assert started == [(2, 16)]
+    assert "clamped to 2" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_mpmath_or_multiprocessing():

@@ -19,11 +19,12 @@ from factorgaps import (
     theoretical_density,
 )
 from factorgaps import gaps as gaps_module
-from factorgaps import oracle
+from factorgaps import boundary, counting, oracle
 from factorgaps.gaps import (
     MODE_PER_N,
     MODE_PER_RANGE,
     MOMENT_SCALE,
+    _finish_blocks,
     _sieve_segment,
     _sieving_primes,
     _Workspace,
@@ -110,25 +111,31 @@ def test_profile_vs_oracle_sample(table_small):
 
 
 def sieve_fresh(lo, hi, table, ws=None):
-    """_sieve_segment on [lo, hi), in a workspace of its own unless given,
-    copied out of the workspace. Every table prime is passed, as
-    scan_range passes primes up to the root of its whole range; the
-    kernel must stop at this window's root."""
+    """_sieve_segment then _finish_blocks on [lo, hi), in a workspace of
+    its own unless given: the cofactor, last_log and max_ratio, copied out
+    of the workspace. Every table prime is passed, as scan_range passes
+    primes up to the root of its whole range; the kernel must stop at this
+    window's root."""
     ws = ws or _Workspace(hi - lo, hi)
     sieving = _sieving_primes(table, table.limit**2 + 1)
-    return tuple(a.copy() for a in _sieve_segment(lo, hi, *sieving, ws))
+    _sieve_segment(lo, hi, *sieving, ws)
+    blocks = [(sl, n.copy(), cof.copy()) for sl, n, cof, _ in _finish_blocks(lo, hi, ws)]
+    assert [sl.start for sl, _, _ in blocks] == list(range(0, hi - lo, ws.block))
+    assert np.array_equal(np.concatenate([n for _, n, _ in blocks]), np.arange(lo, hi))
+    cof = np.concatenate([cof for _, _, cof in blocks])
+    return cof, ws.last_log[: hi - lo].copy(), ws.max_ratio[: hi - lo].copy()
 
 
 def check_sieve_segment(lo, hi, table, got=None):
-    """_sieve_segment on [lo, hi) (or its result ``got``) against
-    factorize + gap_profile per n.
+    """_sieve_segment and _finish_blocks on [lo, hi) (or their result
+    ``got``) against factorize + gap_profile per n.
 
     The kernel takes the log of the surviving cofactor with np.log, which
     can differ from math.log by an ulp, so the exact reference uses np.log
     for that prime; gap_profile (math.log throughout) is matched to 1e-15.
     """
-    rem, last_log, max_ratio = got or sieve_fresh(lo, hi, table)
-    assert len(rem) == len(last_log) == len(max_ratio) == hi - lo
+    cof, last_log, max_ratio = got or sieve_fresh(lo, hi, table)
+    assert len(cof) == len(last_log) == len(max_ratio) == hi - lo
     root = math.isqrt(hi - 1)
     for i, n in enumerate(range(lo, hi)):
         fact = factorize(n, table)
@@ -139,7 +146,7 @@ def check_sieve_segment(lo, hi, table, got=None):
         logs = [math.log(p) for p in sieved] + [float(np.log(big))] * (big > 1)
         ratio = max((q / p for p, q in zip(logs, logs[1:])), default=0.0)
         # eligibility (omega >= 2) is exactly a positive ratio
-        assert (rem[i], max_ratio[i] > 0) == (big, pr.omega >= 2), n
+        assert (cof[i], max_ratio[i] > 0) == (big, pr.omega >= 2), n
         assert last_log[i] == (math.log(sieved[-1]) if sieved else math.inf), n
         assert max_ratio[i] == ratio, n
         if pr.ratio is not None:
@@ -161,7 +168,7 @@ def test_sieve_segment_matches_factorization(table_small, lo, length):
         (1, 25),  # hi - 1 < 25: the pattern of 2, 3 is tiled 4 times
         (10**6, 10**6 + 65_000),  # the mod-30030 pattern is tiled 3 times
         (100, 169),  # hi - 1 < 169: 13 is not pre-sieved
-        (2**31 - 2000, 2**31 + 2000),  # the rem dtype switches to int64
+        (2**31 - 2000, 2**31 + 2000),  # idx and prod switch to int64
     ],
 )
 def test_sieve_segment_edge_windows(lo, hi):
@@ -195,6 +202,42 @@ def test_workspace_rejects_segments_that_do_not_fit():
         _sieve_segment(16, 117, *sieving, ws)  # longer than the workspace
     with pytest.raises(ValueError):
         _sieve_segment(950, 1001, *sieving, ws)  # past the workspace's bound
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_post_pass_block_length_changes_nothing(monkeypatch, table_small, block):
+    # segments of 1000 and 4099 integers, windows not multiples of block
+    thr = (0.5, 1.0, 2.0)
+    cases = [((16, 9_999), dict(segment_size=1000)), ((2**31 - 5000, 2**31 + 3000), {})]
+    pars = [counting.make_params(x, c) for x, c in ((3_001, 1.0), (2_500, 0.5))]
+
+    def results():
+        monkeypatch.setattr(gaps_module, "_last_workspace", None)
+        out = []
+        for (a, b), kw in cases:
+            for mode in (MODE_PER_N, MODE_PER_RANGE):
+                out.append(scan_range(a, b, thr, TABLE_5E4, mode, **kw))
+                out.append(scan_range(a, b, thr, TABLE_5E4, mode, **kw, distribution=False))
+        with boundary.force_extended():  # re-decides every eligible n by index
+            forced = [counting.direct_counts(p, table_small) for p in pars]
+        return out, [counting.direct_counts(p, table_small) for p in pars] + forced
+
+    want_scans, want_counts = results()
+    monkeypatch.setattr(gaps_module, "POST_BLOCK", block)
+    got_scans, got_counts = results()
+    assert _Workspace(4099, 10**6).block == block
+    for got, want in zip(got_scans, want_scans):
+        assert got.config() == want.config()
+        assert summaries_equal(got, want) if want.hist is not None else exceedances_equal(got, want)
+    assert got_counts == want_counts
+    check_sieve_segment(10**6 - 13, 10**6 + 200, TABLE_5E4)  # blocks of this length
+
+
+def test_workspace_footprint():
+    # per integer: idx and prod (int32), last_log and max_ratio (float64)
+    ws = _Workspace(2**20, 10**8)
+    arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 26 * 2**20
 
 
 HIST_16_4096 = {
