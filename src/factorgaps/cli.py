@@ -36,6 +36,7 @@ from .gaps import (
     HIST_WIDTH,
     MODE_PER_N,
     MODE_PER_RANGE,
+    EmptySampleError,
     empirical_density,
     empty_summary,
     merge_summaries,
@@ -103,8 +104,8 @@ class RunConfig:
             # enumerate-m is held to the same reach
             if self.x + 1 > np.iinfo(np.int64).max:
                 raise UsageError(f"--x {self.x} is too large: x + 1 must fit int64")
-        if any(c <= 0 for c in self.c_values):
-            raise UsageError("all c values must be > 0")
+        if not all(math.isfinite(c) and c > 0 for c in self.c_values):
+            raise UsageError("all c values must be finite and > 0")
         if self.workers < 1:
             raise UsageError("--workers must be >= 1")
         if not 1 <= self.segment_size <= gaps.MAX_SEGMENT_SIZE:
@@ -175,27 +176,30 @@ def _scan_task(args):
     )
 
 
-def run_scan(cfg: RunConfig, distribution: bool = True) -> gaps.ScanSummary:
+def run_scan(
+    cfg: RunConfig, distribution: bool = True, mode: Optional[str] = None
+) -> gaps.ScanSummary:
     """Scan [lo, hi) with up to cfg.workers processes, never more than
     there are CPUs (said on stderr) or chunks; the merge law makes the
     result identical for any worker count. ``distribution`` is passed on
-    to scan_range."""
+    to scan_range, and ``mode`` (default cfg.mode) picks the thresholds."""
     a, b = cfg.lo, cfg.hi
+    mode = mode or cfg.mode
     workers = min(cfg.workers, os.cpu_count() or 1)
     if workers < cfg.workers:
         print(f"note: --workers {cfg.workers} clamped to {workers}, the CPU count",
               file=sys.stderr)
     thr = tuple(sorted(set(cfg.c_values)))
-    range_point = b - 1 if cfg.mode == MODE_PER_RANGE else None
+    range_point = b - 1 if mode == MODE_PER_RANGE else None
     limit = max(isqrt(b - 1), 2)
     chunk = max(cfg.segment_size, (b - a) // (workers * 8) + 1)
-    knobs = (thr, cfg.mode, range_point, cfg.segment_size, limit, distribution)
+    knobs = (thr, mode, range_point, cfg.segment_size, limit, distribution)
     tasks = [(lo, min(lo + chunk, b), *knobs) for lo in range(a, b, chunk)]
     workers = min(workers, len(tasks))
     if workers == 1:
         return _scan_task((a, b, *knobs))
 
-    total = empty_summary(thr, cfg.mode, range_point, distribution)
+    total = empty_summary(thr, mode, range_point, distribution)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_scan_task, tasks):
             total = merge_summaries(total, part)
@@ -265,14 +269,8 @@ def cmd_density(cfg: RunConfig, stdout) -> int:
     """One row per c with the empirical exceedance share under both
     threshold conventions, against the limiting density. Only the
     exceedances are counted; the histogram and moments are scan's."""
-    per_n = run_scan(
-        RunConfig(**{**cfg.__dict__, "mode": MODE_PER_N, "subcommand": "scan"}),
-        distribution=False,
-    )
-    per_range = run_scan(
-        RunConfig(**{**cfg.__dict__, "mode": MODE_PER_RANGE, "subcommand": "scan"}),
-        distribution=False,
-    )
+    per_n = run_scan(cfg, distribution=False, mode=MODE_PER_N)
+    per_range = run_scan(cfg, distribution=False, mode=MODE_PER_RANGE)
     rows = []
     for c in sorted(set(cfg.c_values)):
         rep_n = empirical_density(per_n, c)
@@ -647,7 +645,7 @@ def main(argv=None, stdout=None) -> int:
     try:
         cfg = config_from_args(ns)
         return HANDLERS[cfg.subcommand](cfg, stdout)
-    except UsageError as exc:
+    except (UsageError, EmptySampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InsufficientTableError, MemoryError) as exc:

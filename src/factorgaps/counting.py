@@ -29,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from . import boundary
-from .gaps import _finish_blocks, _sieve_segment, _sieving_primes, _Workspace
+from .gaps import _walk
 from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     Factorization,
@@ -59,8 +59,8 @@ class CountParams:
 def make_params(x: int, c: float) -> CountParams:
     if x < 16:
         raise ValueError(f"x must be >= 16, got {x}")
-    if c <= 0:
-        raise ValueError(f"c must be > 0, got {c}")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and > 0, got {c}")
     return CountParams(
         x=int(x),
         c=float(c),
@@ -114,8 +114,8 @@ class DirectCounts:
 
 
 def direct_counts(pars: CountParams, table: PrimeTable) -> DirectCounts:
-    """Count gap-form and smooth gap-form n <= x with the segmented
-    sieve of the scan kernel; N(x) is their difference.
+    """Count gap-form and smooth gap-form n <= x on the scan kernel's
+    segment walk; N(x) is their difference.
 
     n is gap-form iff its largest log ratio (0 if omega <= 1) is <= E.
     Ratios within TIE_EPS of E (every eligible n under
@@ -125,33 +125,30 @@ def direct_counts(pars: CountParams, table: PrimeTable) -> DirectCounts:
     e = pars.gap_exp
     yprimes = _small_primes(pars, table)
     y = yprimes[-1] if yprimes else 1
-    primes, logs = _sieving_primes(table, pars.x + 1)
     tie_eps = math.inf if boundary._FORCE_EXTENDED else boundary.TIE_EPS
-    ws = _Workspace(min(DEFAULT_SEGMENT_SIZE, pars.x), pars.x + 1)
     n_gapform = n_smooth = 0
-    for lo in range(1, pars.x + 1, DEFAULT_SEGMENT_SIZE):
-        hi = min(lo + DEFAULT_SEGMENT_SIZE, pars.x + 1)
-        _sieve_segment(lo, hi, primes, logs, ws)
-        for sl, _, cof, max_ratio in _finish_blocks(lo, hi, ws):
-            gapform, smooth, ties = ws.masks[:, : max_ratio.size]
-            dist = ws.buf[: max_ratio.size]
-            # max_ratio is 0 for omega <= 1, which is gap-form and never a tie
-            np.less_equal(max_ratio, e, out=gapform)
-            np.less(np.abs(np.subtract(max_ratio, e, out=dist), out=dist), tie_eps, out=ties)
-            ties &= np.greater(max_ratio, 0, out=smooth)
-            for j in np.flatnonzero(ties):
-                gapform[j] = is_gap_form(factorize(lo + sl.start + int(j), table), pars)
-            # Smooth: cof <= y and (cof > 1 or last_log <= log y), as the
-            # largest prime is cof if cof > 1, else the last sieved one (n =
-            # 1 has neither: cof = 1, last_log = inf). cof is an exact
-            # integer, and logs of distinct primes differ by far more than
-            # an ulp: both tests are exact.
-            np.less_equal(ws.last_log[sl], math.log(y), out=smooth)
-            smooth |= np.greater(cof, 1, out=ties)
-            smooth &= np.less_equal(cof, y, out=ties)
-            smooth &= gapform
-            n_gapform += int(np.count_nonzero(gapform))
-            n_smooth += int(np.count_nonzero(smooth))
+    for ws, start, _, cof, max_ratio, last_log in _walk(
+        1, pars.x + 1, table, DEFAULT_SEGMENT_SIZE
+    ):
+        gapform, smooth, ties = ws.masks[:, : max_ratio.size]
+        dist = ws.buf[: max_ratio.size]
+        # max_ratio is 0 for omega <= 1, which is gap-form and never a tie
+        np.less_equal(max_ratio, e, out=gapform)
+        np.less(np.abs(np.subtract(max_ratio, e, out=dist), out=dist), tie_eps, out=ties)
+        ties &= np.greater(max_ratio, 0, out=smooth)
+        for j in np.flatnonzero(ties):
+            gapform[j] = is_gap_form(factorize(start + int(j), table), pars)
+        # Smooth: cof <= y and (cof > 1 or last_log <= log y), as the
+        # largest prime is cof if cof > 1, else the last sieved one (n = 1
+        # has neither: cof = 1, last_log = inf). cof is an exact integer,
+        # and logs of distinct primes differ by far more than an ulp: both
+        # tests are exact.
+        np.less_equal(last_log, math.log(y), out=smooth)
+        smooth |= np.greater(cof, 1, out=ties)
+        smooth &= np.less_equal(cof, y, out=ties)
+        smooth &= gapform
+        n_gapform += int(np.count_nonzero(gapform))
+        n_smooth += int(np.count_nonzero(smooth))
 
     return DirectCounts(
         n_direct=n_gapform - n_smooth,

@@ -38,8 +38,9 @@ HIST_BINS = 400  # in-range bins; slots 0 and HIST_BINS+1 are under/overflow
 
 # Moments are accumulated as integer multiples of 1/MOMENT_SCALE so that
 # addition is exact and order-independent. gap values stay below ~4 for
-# any feasible n, so per-segment sums fit comfortably in int64 as long as
-# segments stay below MAX_SEGMENT_SIZE.
+# any feasible n, so the int64 sums taken per POST_BLOCK block fit with
+# room to spare. MAX_SEGMENT_SIZE bounds the workspace, at 24 B per
+# integer: about 96 MiB at 2**22.
 MOMENT_SCALE = 1 << 36
 MAX_SEGMENT_SIZE = 1 << 22
 POST_BLOCK = 1 << 15  # integers per post-pass block; results do not depend on it
@@ -251,7 +252,7 @@ _last_workspace: Optional[_Workspace] = None
 
 
 def _scan_workspace(size: int, b: int) -> _Workspace:
-    """This process's scan workspace, kept from the last scan and rebuilt
+    """This process's kernel workspace, kept from the last walk and rebuilt
     only for another segment length or dtype, so the tasks of a fanned-out
     scan fault its pages in once per worker; bound checks follow ``b``."""
     global _last_workspace
@@ -323,65 +324,19 @@ def _finish_blocks(lo, hi, ws):
         yield sl, n, cof, ratio
 
 
-def _scan_segment(
-    lo, hi, thresholds, mode, range_point, distribution, small_primes, prime_logs, ws
-):
-    """Vectorized scan of [lo, hi): :func:`_sieve_segment`, then per block
-    of :func:`_finish_blocks` the counts of one :class:`ScanSummary`. An
-    ineligible n has ratio 0, which exceeds no (positive) bound, and gap
-    log 0 = -inf, which bins to the corrected underflow slot and is
-    zeroed before the moments; eligible n see the same float operations.
-    Without ``distribution`` only eligible and the exceedances are
-    counted, and a per-range scan takes no per-n log at all."""
-    _sieve_segment(lo, hi, small_primes, prime_logs, ws)
-    eligible, exceed = 0, dict.fromkeys(thresholds, 0)
-    hist, sum_fp, sum_sq_fp = (None,) * 3
-    if distribution:
-        hist, sum_fp, sum_sq_fp = np.zeros(HIST_BINS + 2, dtype=np.int64), 0, 0
-    for _, lnln, _, ratio in _finish_blocks(lo, hi, ws):
-        buf, bins, mask = (a[: ratio.size] for a in (ws.buf, ws.bins, ws.masks[0]))
-        block_eligible = int(np.count_nonzero(ratio))
-        eligible += block_eligible
-        if distribution or mode == MODE_PER_N:
-            np.log(np.log(lnln, out=lnln), out=lnln)  # n -> ln ln n
-        for c in thresholds:
-            if mode == MODE_PER_N:
-                bound = np.multiply(c, lnln, out=buf)
-            else:  # a bound <= 0 (range_point < 3) passes every ratio > 1, not 0
-                bound = max(c * math.log(math.log(range_point)), 0.0)
-            exceed[c] += int(np.count_nonzero(np.greater(ratio, bound, out=mask)))
-        if not distribution:
-            continue
-        with np.errstate(divide="ignore"):
-            gap = np.log(ratio, out=ratio)
-        np.log(lnln, out=buf)  # ln ln ln n, from ln ln n
-        np.subtract(gap, buf, out=buf)
-        buf -= HIST_LO
-        buf *= HIST_INV_WIDTH
-        np.clip(np.floor(buf, out=buf), -1, HIST_BINS, out=buf)
-        buf += 1  # slot 0 is the underflow
-        np.copyto(bins, buf, casting="unsafe")
-        hist += np.bincount(bins, minlength=HIST_BINS + 2)
-        hist[0] -= ratio.size - block_eligible
-
-        np.maximum(gap, 0, out=gap)  # -inf -> 0; an eligible gap is > 0
-        np.multiply(gap, MOMENT_SCALE, out=buf)
-        sum_fp += int(np.rint(buf, out=buf).sum(dtype=np.int64))
-        np.multiply(np.multiply(gap, gap, out=buf), MOMENT_SCALE, out=buf)
-        sum_sq_fp += int(np.rint(buf, out=buf).sum(dtype=np.int64))
-
-    return ScanSummary(
-        ranges=((lo, hi),),
-        thresholds=thresholds,
-        mode=mode,
-        range_point=range_point,
-        total=hi - lo,
-        eligible=eligible,
-        hist=hist,
-        exceed=exceed,
-        sum_gap_fp=sum_fp,
-        sum_gap_sq_fp=sum_sq_fp,
-    )
+def _walk(a, b, table, segment_size):
+    """The one segment walk over [a, b): per segment :func:`_sieve_segment`,
+    then per block of :func:`_finish_blocks` the workspace (for its scratch
+    buffers), the block's first integer, n, the cofactor, max_ratio and
+    last_log. Not re-entrant: every walk in a process sieves into the one
+    workspace of :func:`_scan_workspace`, which the next block overwrites."""
+    small_primes, prime_logs = _sieving_primes(table, b)
+    ws = _scan_workspace(min(segment_size, b - a), b)
+    for lo in range(a, b, segment_size):
+        hi = min(lo + segment_size, b)
+        _sieve_segment(lo, hi, small_primes, prime_logs, ws)
+        for sl, n, cof, ratio in _finish_blocks(lo, hi, ws):
+            yield ws, lo + sl.start, n, cof, ratio, ws.last_log[sl]
 
 
 def scan_range(
@@ -421,6 +376,11 @@ def scan_range(
 
     The result is deterministic and identical for any segmentation or
     parallel split of [a, b), because every accumulator is an integer.
+    Each block of :func:`_walk` adds its counts to one summary. An
+    ineligible n has ratio 0, which exceeds no (positive) bound, and gap
+    log 0 = -inf, which bins to the corrected underflow slot and is zeroed
+    before the moments; eligible n see the same float operations. A
+    per-range scan without the distribution takes no per-n log at all.
     """
     if not ELIGIBLE_FLOOR <= a < b <= MAX_SCAN_END:
         raise ValueError(f"need {ELIGIBLE_FLOOR} <= a < b <= 2**53, got [{a}, {b})")
@@ -428,22 +388,45 @@ def scan_range(
         raise ValueError(f"unknown mode {mode!r}")
     if not 1 <= segment_size <= MAX_SEGMENT_SIZE:
         raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_SIZE}]")
-    small_primes, prime_logs = _sieving_primes(table, b)
-    thr = _normalize_thresholds(thresholds)
     if mode == MODE_PER_RANGE and range_point is None:
         range_point = b - 1
     if mode == MODE_PER_N:
         range_point = None
 
-    ws = _scan_workspace(min(segment_size, b - a), b)
-    total = empty_summary(thr, mode, range_point, distribution)
-    for lo in range(a, b, segment_size):
-        hi = min(lo + segment_size, b)
-        part = _scan_segment(
-            lo, hi, thr, mode, range_point, distribution, small_primes, prime_logs, ws
-        )
-        total = merge_summaries(total, part)
-    return total
+    s = empty_summary(thresholds, mode, range_point, distribution)
+    s.ranges, s.total = ((a, b),), b - a
+    for ws, _, lnln, _, ratio, _ in _walk(a, b, table, segment_size):
+        buf, bins, mask = (x[: ratio.size] for x in (ws.buf, ws.bins, ws.masks[0]))
+        block_eligible = int(np.count_nonzero(ratio))
+        s.eligible += block_eligible
+        if distribution or mode == MODE_PER_N:
+            np.log(np.log(lnln, out=lnln), out=lnln)  # n -> ln ln n
+        for c in s.thresholds:
+            if mode == MODE_PER_N:
+                bound = np.multiply(c, lnln, out=buf)
+            else:  # a bound <= 0 (range_point < 3) passes every ratio > 1, not 0
+                bound = max(c * math.log(math.log(range_point)), 0.0)
+            s.exceed[c] += int(np.count_nonzero(np.greater(ratio, bound, out=mask)))
+        if not distribution:
+            continue
+        with np.errstate(divide="ignore"):
+            gap = np.log(ratio, out=ratio)
+        np.log(lnln, out=buf)  # ln ln ln n, from ln ln n
+        np.subtract(gap, buf, out=buf)
+        buf -= HIST_LO
+        buf *= HIST_INV_WIDTH
+        np.clip(np.floor(buf, out=buf), -1, HIST_BINS, out=buf)
+        buf += 1  # slot 0 is the underflow
+        np.copyto(bins, buf, casting="unsafe")
+        s.hist += np.bincount(bins, minlength=HIST_BINS + 2)
+        s.hist[0] -= ratio.size - block_eligible
+
+        np.maximum(gap, 0, out=gap)  # -inf -> 0; an eligible gap is > 0
+        np.multiply(gap, MOMENT_SCALE, out=buf)
+        s.sum_gap_fp += int(np.rint(buf, out=buf).sum(dtype=np.int64))
+        np.multiply(np.multiply(gap, gap, out=buf), MOMENT_SCALE, out=buf)
+        s.sum_gap_sq_fp += int(np.rint(buf, out=buf).sum(dtype=np.int64))
+    return s
 
 
 def merge_summaries(s1: ScanSummary, s2: ScanSummary) -> ScanSummary:

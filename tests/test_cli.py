@@ -270,10 +270,40 @@ def test_scan_usage_errors():
     assert rc == 2
     rc, _ = run_cli("scan", "--min", "16", "--max", "30", "--c", "0")
     assert rc == 2
+    rc, _ = run_cli("scan", "--min", "16", "--max", "30", "--c", "1,nan")
+    assert rc == 2
     rc, _ = run_cli("scan", "--min", "16", "--max", "30", "--c", "1", "--segment-size", "0")
     assert rc == 2
     rc, _ = run_cli("scan", "--min", "8", "--max", "30", "--c", "1")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--min", "16", "--max", "1000"),
+        ("density", "--min", "16", "--max", "1000"),
+        ("count", "--x", "1000"),
+    ],
+)
+@pytest.mark.parametrize("c", ["nan", "inf"])
+def test_non_finite_c_refused_before_any_table(monkeypatch, capsys, argv, c):
+    def no_table(limit):
+        raise AssertionError("--c must be checked before the prime table")
+
+    monkeypatch.setattr(cli, "build_prime_table", no_table)
+    assert run_cli(*argv, "--c", c) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_density_without_eligible_integers_is_a_usage_error(capsys, fmt):
+    # 16 and 17 have one prime factor each; scan reports null moments there
+    argv = ("--min", "16", "--max", "18", "--c", "1", "--format", fmt)
+    assert run_cli("density", *argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run_cli("scan", *argv)[0] == 0
 
 
 @pytest.mark.parametrize("cmd", ["scan", "density"])

@@ -19,12 +19,14 @@ from factorgaps import (
     is_isolated,
     make_params,
     primes_in_power_interval,
+    scan_range,
     segment_factor_scan,
     tuple_reciprocal_sum,
     wide_squarefree_set,
     window_coprime_density,
 )
 from factorgaps import counting, oracle
+from factorgaps.gaps import MODE_PER_RANGE
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,9 @@ def test_params_rejects_bad_input():
         make_params(30, 0.0)
     with pytest.raises(ValueError):
         make_params(30, -2.0)
+    for c in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            make_params(30, c)
 
 
 # ---------------------------------------------------------------- predicates
@@ -207,6 +212,28 @@ def test_direct_counts_1e6(table_1e6):
     assert (d.n_direct, d.n_direct_gapform, d.smooth_gap_count) == (
         238913, 320126, 81213
     )
+
+
+@pytest.mark.parametrize("x,c", [(3001, 1.0), (20_000, 0.5), (5000, 2.0)])
+def test_direct_counts_independent_of_segment_length(table_small, monkeypatch, x, c):
+    # 999-integer segments: blocks and ties fall on every side of a boundary
+    pars = make_params(x, c)
+    want = direct_counts(pars, table_small)
+    monkeypatch.setattr(counting, "DEFAULT_SEGMENT_SIZE", 999)
+    assert direct_counts(pars, table_small) == want
+
+
+def test_direct_counts_past_one_segment_match_the_scan(table_small):
+    # [1, x] spans two default segments; gap-form n are those the
+    # per-range scan at x does not count, as verify's scan-count check has it
+    x, c = 2**20 + 2**14, 1.0
+    assert x > counting.DEFAULT_SEGMENT_SIZE
+    pars = make_params(x, c)
+    d = direct_counts(pars, table_small)
+    s = scan_range(16, x + 1, (c,), table_small, MODE_PER_RANGE, range_point=x,
+                   segment_size=2**16, distribution=False)
+    low = sum(is_gap_form(factorize(n, table_small), pars) for n in range(1, 16))
+    assert d.n_direct_gapform == low + s.total - s.exceed[c]
 
 
 # ---------------------------------------------------------------- the wide set
