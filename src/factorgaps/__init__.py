@@ -18,7 +18,6 @@ from .sieve import (
     factorize,
     primes_in_interval,
     primes_in_power_interval,
-    segment_factor_scan,
 )
 from .gaps import (
     DensityReport,
@@ -63,7 +62,6 @@ __all__ = [
     "factorize",
     "primes_in_interval",
     "primes_in_power_interval",
-    "segment_factor_scan",
     "DensityReport",
     "EmptySampleError",
     "GapProfile",

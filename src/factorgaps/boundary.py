@@ -78,11 +78,6 @@ def le_power(q: int, p: int, x: int, c: float) -> bool:
         return mp.log(q) <= _mp_exponent(x, c) * mp.log(p)
 
 
-def gt_power(q: int, p: int, x: int, c: float) -> bool:
-    """Decide q > p**E (the wide-gap condition)."""
-    return not le_power(q, p, x, c)
-
-
 def le_root(p: int, x: int, c: float) -> bool:
     """Decide p <= x**(1/E), the small-prime test, ties in extended precision.
 

@@ -106,6 +106,10 @@ class RunConfig:
                 raise UsageError(f"--x {self.x} is too large: x + 1 must fit int64")
         if not all(math.isfinite(c) and c > 0 for c in self.c_values):
             raise UsageError("all c values must be finite and > 0")
+        if self.x is not None and math.isinf(boundary.gap_exponent(self.x, self.c_values[0])):
+            raise UsageError(f"--c {self.c_values[0]} overflows E = c ln ln x")
+        if self.subcommand == "verify" and self.x_max < VERIFY_GRID_X[0]:
+            raise UsageError(f"--x-max must be >= {VERIFY_GRID_X[0]}, the smallest grid x")
         if self.workers < 1:
             raise UsageError("--workers must be >= 1")
         if not 1 <= self.segment_size <= gaps.MAX_SEGMENT_SIZE:
@@ -149,12 +153,20 @@ def render_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+def _finite(v: float) -> Optional[float]:
+    """A reference value, or None (rendered null) if it is not a finite double."""
+    return v if math.isfinite(v) else None
+
+
 def emit(text: str, out: Optional[str], stdout) -> None:
-    if out:
+    if not out:
+        stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -325,15 +337,19 @@ def cmd_count(cfg: RunConfig, stdout) -> int:
     identity_ok = bd.n_inclusion_exclusion == bd.n_direct
     per_k = []
     for layer in bd.per_k:
+        k, k_fact = layer.k, math.factorial(layer.k)
+        poisson_den = c**k * k_fact  # 0.0 when c**k underflows
         per_k.append(
             {
-                "k": layer.k,
+                "k": k,
                 "m_count": layer.m_count,
                 "N_k": layer.count,
-                "poisson_ref": x / (c ** layer.k * math.factorial(layer.k)),
+                "poisson_ref": _finite(x / poisson_den if poisson_den else math.inf),
                 "S_k": layer.recip_sum,
-                "tuple_ref": math.log(math.log(pars.small_prime_bound)) ** layer.k
-                / math.factorial(layer.k),
+                # the empty product at k = 0, also where y rounds to 1
+                "tuple_ref": _finite(
+                    math.log(math.log(pars.small_prime_bound)) ** k / k_fact if k else 1.0
+                ),
             }
         )
     payload = {
@@ -393,8 +409,9 @@ def run_verification(x_max: int = 2000, seed: int = DEFAULT_SEED):
 
     results: list[tuple[str, bool, str]] = []
     rng = random.Random(seed)
-    # 10**4 covers factorize up to 10**8, past the oracle sample's n <= 10**5
-    table = build_prime_table(max(x_max, 10_000))
+    # 10**4 reaches every grid x (<= 2000) and factorize up to 10**8, past
+    # the oracle sample's n <= 10**5; a larger x_max runs no further check
+    table = build_prime_table(10_000)
 
     # counting identities on the grid
     for x in VERIFY_GRID_X:

@@ -1,8 +1,9 @@
-"""Prime tables, factorization, and segmented factor scans.
+"""Prime tables, trial-division factorization, and prime intervals.
 
-Everything downstream (gap statistics, the counting identities) consumes
-either a :class:`PrimeTable` or a stream of :class:`Factorization`
-records, so this module is the only place that touches raw sieving.
+The scan kernel (:mod:`factorgaps.gaps`) sieves its own segments from a
+:class:`PrimeTable`. :func:`factorize` is the one factorizer beside it,
+for single integers that must be decided exactly, and
+:mod:`factorgaps.oracle` is the independent reference for both.
 """
 
 from __future__ import annotations
@@ -58,12 +59,6 @@ class PrimeTable:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def is_prime(self, v: int) -> bool:
-        if v > self.limit:
-            raise InsufficientTableError(f"{v} exceeds table limit {self.limit}")
-        i = int(np.searchsorted(self.primes, v))
-        return i < len(self.primes) and int(self.primes[i]) == v
-
 
 def build_prime_table(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes up to ``limit`` inclusive.
@@ -114,58 +109,11 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
     return Factorization(n=n, factors=tuple(factors))
 
 
-def segment_factor_scan(
-    a: int,
-    b: int,
-    table: PrimeTable,
-    # Python lists for a whole segment, some 300 bytes per integer, are
-    # built before the first record is yielded, so segments stay far
-    # smaller than the vectorized kernel's DEFAULT_SEGMENT_SIZE.
-    segment_size: int = 1 << 16,
-) -> Iterator[Factorization]:
-    """Yield the factorization of every n in [a, b), in order.
-
-    Works segment by segment: for each prime p <= sqrt(b-1) the multiples
-    of p inside the segment are located by position and divided out, so
-    the cost per integer is O(log log b) divisions instead of a full
-    trial division. A cofactor > 1 surviving all table primes is prime
-    (one prime factor above sqrt can remain) and is recorded with
-    exponent 1.
-    """
-    if not 1 <= a < b:
-        raise ValueError(f"need 1 <= a < b, got [{a}, {b})")
-    if segment_size < 1:
-        raise ValueError("segment_size must be positive")
-    root = isqrt(b - 1)
-    if table.limit < root:
-        raise InsufficientTableError(
-            f"table limit {table.limit} < required sqrt bound {root}"
-        )
-    small_primes = [int(p) for p in table.primes[table.primes <= root]]
-
-    for lo in range(a, b, segment_size):
-        hi = min(lo + segment_size, b)
-        seglen = hi - lo
-        rem = list(range(lo, hi))
-        facs: list[list[tuple[int, int]]] = [[] for _ in range(seglen)]
-        for p in small_primes:
-            if p * p > hi - 1:
-                break
-            start = (-lo) % p
-            for j in range(start, seglen, p):
-                v = rem[j]
-                e = 0
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                if e:
-                    rem[j] = v
-                    facs[j].append((p, e))
-        for j in range(seglen):
-            v = rem[j]
-            if v > 1:
-                facs[j].append((v, 1))
-            yield Factorization(n=lo + j, factors=tuple(facs[j]))
+def segment_factor_scan(a: int, b: int, table: PrimeTable) -> Iterator[Factorization]:
+    """``factorize(n, table)`` for n in [a, b), kept only because
+    perfbench/layers.py wraps it by name; ROADMAP item 11 deletes it."""
+    for n in range(a, b):
+        yield factorize(n, table)
 
 
 def primes_in_interval(lo: float, hi: float, table: PrimeTable) -> np.ndarray:

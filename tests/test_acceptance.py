@@ -21,14 +21,14 @@ from factorgaps import (
     make_params,
     partial_alternating_sum,
     scan_range,
-    segment_factor_scan,
     tuple_reciprocal_sum,
     wide_squarefree_set,
     window_coprime_density,
 )
 from factorgaps import oracle
 from factorgaps.cli import main
-from factorgaps.gaps import MODE_PER_RANGE
+from factorgaps.gaps import MODE_PER_RANGE, _walk
+from factorgaps.sieve import DEFAULT_SEGMENT_SIZE
 
 GRID_X = (30, 100, 300, 1000, 2000)
 GRID_C = (0.5, 1.0, 2.0)
@@ -57,7 +57,7 @@ def test_criterion_1_worked_example():
     assert bd.n_direct == 5
     counted = [
         fact.n
-        for fact in segment_factor_scan(1, 31, table)
+        for fact in map(oracle.naive_factorize, range(1, 31))
         if all(
             any(
                 q > p and boundary.le_power(q, p, 30, 1.0)
@@ -226,25 +226,32 @@ def test_criterion_6_density_properties():
 
 
 def test_criterion_7_oracle_equivalence():
+    # every n <= 1e5 on both paths the outputs take: factorize with its
+    # gap profile, and the kernel's max_ratio from the segment walk
     table = build_prime_table(1000)
     t0 = time.perf_counter()
-    worst = 0.0
-    for fact in segment_factor_scan(1, 100_001, table):
-        ref = oracle.naive_factorize(fact.n)
-        assert fact == ref, f"factorization mismatch at {fact.n}"
+    want = {n: oracle.naive_f(n) for n in range(1, 100_001)}
+    worst = kernel_worst = 0.0
+    for n, f in want.items():
+        fact = factorize(n, table)
+        assert fact == oracle.naive_factorize(n), f"factorization mismatch at {n}"
         got = gap_profile(fact).gap
-        want = oracle.naive_f(fact.n) if fact.n >= 2 else None
-        if want is None:
+        if f is None:
             assert got is None
         else:
-            rel = abs(got - want) / abs(want) if want else abs(got)
-            worst = max(worst, rel)
+            worst = max(worst, abs(got - f) / f)
+    for _, start, _, _, ratio, _ in _walk(1, 100_001, table, DEFAULT_SEGMENT_SIZE):
+        for n, r in enumerate(ratio.tolist(), start):
+            assert (r > 0) == (want[n] is not None), f"kernel eligibility mismatch at {n}"
+            if r > 0:
+                kernel_worst = max(kernel_worst, abs(math.log(r) - want[n]) / want[n])
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-12
+    assert kernel_worst <= 1e-12
     assert elapsed < 10.0
     print(
         f"\nACCEPTANCE 7 PASS: all n <= 1e5 match the oracle "
-        f"(worst rel {worst:.2e}), {elapsed:.1f} s"
+        f"(worst rel {worst:.2e}, kernel {kernel_worst:.2e}), {elapsed:.1f} s"
     )
 
 

@@ -81,6 +81,39 @@ def test_count_reals_round_trip():
     assert float(format(z, ".17g")) == z
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "c,want_rc", [("1e-200", 0), ("5e-324", 0), ("1e-77", 0), ("1e17", 0), ("1e308", 2)]
+)
+def test_count_extreme_c_prints_strict_json_or_refuses(monkeypatch, c, want_rc):
+    # c**k underflows (poisson_ref), y rounds to 1 (tuple_ref), or E
+    # overflows; a reference that is not a finite double renders null
+    if want_rc == 2:
+        monkeypatch.setattr(cli, "build_prime_table", lambda limit: pytest.fail("table"))
+    rc, text = run_cli("count", "--x", "1000", "--c", c)
+    assert rc == want_rc
+    if rc == 2:
+        assert text == ""
+        return
+    doc = json.loads(text, parse_constant=_no_constant)
+    assert doc["identity_check"] == "PASS"
+    assert doc["per_k"][0]["tuple_ref"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--min", "16", "--max", "100", "--c", "1"),
+    ("count", "--x", "30", "--c", "1"),
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    rc, text = run_cli(*argv, "--out", str(tmp_path / "missing" / "x.json"))
+    assert (rc, text) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 # ---------------------------------------------------------------- enumerate-m
 
 
@@ -446,6 +479,12 @@ def test_verify_cli_exit_zero():
     assert rc == 0
     assert "OK:" in text
     assert "FAIL" not in text.split("OK:")[0].replace("FAILED", "")
+
+
+@pytest.mark.parametrize("x_max", ["10", "-5", "29"])
+def test_verify_x_max_below_grid_refused(x_max):
+    # below the smallest grid x no identity or count check would run
+    assert run_cli("verify", "--x-max", x_max) == (2, "")
 
 
 def test_verify_stdout_reproducible(capsys):

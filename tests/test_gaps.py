@@ -15,7 +15,6 @@ from factorgaps import (
     merge_summaries,
     partial_alternating_sum,
     scan_range,
-    segment_factor_scan,
     theoretical_density,
 )
 from factorgaps import gaps as gaps_module
@@ -353,12 +352,12 @@ def test_scan_matches_profile_path(table_small):
     eligible = 0
     sum_fp = 0
     sum_sq_fp = 0
-    for fact in segment_factor_scan(a, b, table_small):
-        pr = gap_profile(fact)
+    for n in range(a, b):
+        pr = gap_profile(oracle.naive_factorize(n))
         if pr.omega < 2:
             continue
         eligible += 1
-        lnln = math.log(math.log(fact.n))
+        lnln = math.log(math.log(n))
         v = pr.gap - math.log(lnln)
         bi = min(max(math.floor((v + 10.0) * 20.0), -1), 400)
         hist[bi + 1] += 1
@@ -479,8 +478,8 @@ def test_scan_validates_arguments(table_small):
 def test_scan_moments_match_floats(table_small):
     s = scan_range(16, 20_000, [1.0], table_small)
     gaps = []
-    for fact in segment_factor_scan(16, 20_000, table_small):
-        pr = gap_profile(fact)
+    for n in range(16, 20_000):
+        pr = gap_profile(oracle.naive_factorize(n))
         if pr.omega >= 2:
             gaps.append(pr.gap)
     assert s.mean_gap == pytest.approx(sum(gaps) / len(gaps), abs=1e-9)

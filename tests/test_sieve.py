@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 from factorgaps import (
-    Factorization,
     InsufficientTableError,
     build_prime_table,
     factorize,
     primes_in_interval,
     primes_in_power_interval,
-    segment_factor_scan,
 )
 from factorgaps import oracle
 
@@ -51,8 +49,8 @@ def test_prime_table_invariants(table_small):
     ps = table_small.primes
     assert ps[0] == 2
     assert (np.diff(ps) > 0).all()
-    assert table_small.is_prime(9973)
-    assert not table_small.is_prime(9999)
+    assert 9973 in table_small.primes
+    assert 9999 not in table_small.primes
 
 
 @pytest.mark.parametrize(
@@ -62,6 +60,8 @@ def test_prime_table_invariants(table_small):
         (1, ()),
         (17408, ((2, 10), (17, 1))),
         (9699690, tuple((p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19))),
+        (10, ((2, 1), (5, 1))),
+        (11, ((11, 1),)),
     ],
 )
 def test_factorize_examples(table_small, n, factors):
@@ -98,33 +98,11 @@ def test_factorization_conventions(table_small):
     assert one.largest_prime == 1
 
 
-def test_segment_scan_examples(table_small):
-    got = list(segment_factor_scan(10, 13, table_small))
-    assert [f.n for f in got] == [10, 11, 12]
-    assert got[0].factors == ((2, 1), (5, 1))
-    assert got[1].factors == ((11, 1),)
-    assert got[2].factors == ((2, 2), (3, 1))
-    assert list(segment_factor_scan(1, 2, table_small)) == [
-        Factorization(n=1, factors=())
-    ]
-
-
-def test_segment_scan_matches_factorize(table_small):
-    for a, b in [(1, 3000), (99_000, 100_000), (65_530, 65_600)]:
-        for fact in segment_factor_scan(a, b, table_small):
-            assert fact == factorize(fact.n, table_small)
-
-
-def test_segment_scan_segment_size_independent(table_small):
-    whole = list(segment_factor_scan(500, 1500, table_small))
-    for size in (1, 7, 64, 1000, 4096):
-        assert list(segment_factor_scan(500, 1500, table_small, segment_size=size)) == whole
-
-
-def test_segment_scan_insufficient_table():
-    small = build_prime_table(10)
-    with pytest.raises(InsufficientTableError):
-        list(segment_factor_scan(1, 1000, small))
+def test_factorize_matches_oracle_on_ranges(table_small):
+    # the last range ends at the table's reach: 10**4 squared is 10**8
+    for a, b in [(1, 3000), (65_530, 65_600), (99_000, 100_000), (10**8 - 500, 10**8 + 1)]:
+        for n in range(a, b):
+            assert factorize(n, table_small) == oracle.naive_factorize(n)
 
 
 def test_primes_in_interval_examples(table_small):
