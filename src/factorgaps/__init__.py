@@ -25,7 +25,6 @@ from .gaps import (
     GapProfile,
     ScanSummary,
     empirical_density,
-    empty_summary,
     gap_profile,
     merge_summaries,
     partial_alternating_sum,
@@ -67,7 +66,6 @@ __all__ = [
     "GapProfile",
     "ScanSummary",
     "empirical_density",
-    "empty_summary",
     "gap_profile",
     "merge_summaries",
     "partial_alternating_sum",

@@ -10,6 +10,7 @@ failure, 2 usage error, 3 capacity error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -38,7 +39,6 @@ from .gaps import (
     MODE_PER_RANGE,
     EmptySampleError,
     empirical_density,
-    empty_summary,
     merge_summaries,
     scan_range,
     theoretical_density,
@@ -112,6 +112,9 @@ class RunConfig:
             raise UsageError(f"--x-max must be >= {VERIFY_GRID_X[0]}, the smallest grid x")
         if self.workers < 1:
             raise UsageError("--workers must be >= 1")
+        out_dir = os.path.dirname(os.path.abspath(self.out)) if self.out else None
+        if out_dir and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+            raise UsageError(f"cannot write --out: {out_dir} is not a writable directory")
         if not 1 <= self.segment_size <= gaps.MAX_SEGMENT_SIZE:
             raise UsageError(
                 f"--segment-size must be in [1, {gaps.MAX_SEGMENT_SIZE}]"
@@ -180,8 +183,8 @@ def ProcessPoolExecutor(*args, **kwargs):
 
 
 def _scan_task(args):
-    lo, hi, thresholds, mode, range_point, segment_size, limit, distribution = args
-    table = build_prime_table(limit)
+    lo, hi, thresholds, mode, range_point, segment_size, distribution = args
+    table = build_prime_table(max(isqrt(hi - 1), 2))
     return scan_range(
         lo, hi, thresholds, table, mode, range_point, segment_size,
         distribution=distribution,
@@ -192,36 +195,26 @@ def run_scan(
     cfg: RunConfig, distribution: bool = True, mode: Optional[str] = None
 ) -> gaps.ScanSummary:
     """Scan [lo, hi) with up to cfg.workers processes, never more than
-    there are CPUs (said on stderr) or chunks; the merge law makes the
-    result identical for any worker count. ``distribution`` is passed on
-    to scan_range, and ``mode`` (default cfg.mode) picks the thresholds."""
+    there are chunks, and fold the chunk summaries in order; the merge law
+    makes the result identical for any worker count. ``distribution`` is
+    passed on to scan_range, and ``mode`` (default cfg.mode) picks the
+    thresholds."""
     a, b = cfg.lo, cfg.hi
     mode = mode or cfg.mode
-    workers = min(cfg.workers, os.cpu_count() or 1)
-    if workers < cfg.workers:
-        print(f"note: --workers {cfg.workers} clamped to {workers}, the CPU count",
-              file=sys.stderr)
-    thr = tuple(sorted(set(cfg.c_values)))
     range_point = b - 1 if mode == MODE_PER_RANGE else None
-    limit = max(isqrt(b - 1), 2)
-    chunk = max(cfg.segment_size, (b - a) // (workers * 8) + 1)
-    knobs = (thr, mode, range_point, cfg.segment_size, limit, distribution)
+    chunk = max(cfg.segment_size, (b - a) // (cfg.workers * 8) + 1)
+    knobs = (cfg.c_values, mode, range_point, cfg.segment_size, distribution)
     tasks = [(lo, min(lo + chunk, b), *knobs) for lo in range(a, b, chunk)]
-    workers = min(workers, len(tasks))
+    workers = min(cfg.workers, len(tasks))
     if workers == 1:
         return _scan_task((a, b, *knobs))
-
-    total = empty_summary(thr, mode, range_point, distribution)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_scan_task, tasks):
-            total = merge_summaries(total, part)
-    return total
+        return functools.reduce(merge_summaries, pool.map(_scan_task, tasks))
 
 
 def summary_payload(s: gaps.ScanSummary) -> dict:
-    ranges = list(s.ranges)
     payload = {
-        "range": list(ranges[0]) if len(ranges) == 1 else [list(r) for r in ranges],
+        "range": [s.a, s.b],
         "mode": s.mode,
         "range_point": s.range_point,
         "total": s.total,
@@ -242,10 +235,7 @@ def summary_payload(s: gaps.ScanSummary) -> dict:
 
 
 def summary_csv(s: gaps.ScanSummary) -> str:
-    lines = []
-    for a, b in s.ranges:
-        lines.append(f"# range={a}:{b}")
-    lines.append(f"# mode={s.mode}")
+    lines = [f"# range={s.a}:{s.b}", f"# mode={s.mode}"]
     if s.range_point is not None:
         lines.append(f"# range_point={s.range_point}")
     lines.append(f"# total={s.total}")
@@ -332,7 +322,14 @@ def cmd_density(cfg: RunConfig, stdout) -> int:
 def cmd_count(cfg: RunConfig, stdout) -> int:
     x, c = cfg.x, cfg.c_values[0]
     pars = make_params(x, c)
-    table = build_prime_table(x)
+    # factorize needs reach**2 >= x; every window min(p**E, x // p) of the
+    # inner counts peaks where the two meet, at x**(E/(E+1)), tie-padded
+    e = pars.gap_exp
+    table = build_prime_table(max(
+        isqrt(x - 1) + 1,
+        math.ceil(boundary.root_search_bound(x, c)),
+        math.ceil(math.exp(e / (e + 1) * math.log(x) + 2 * boundary.TIE_EPS)) + 1,
+    ))
     bd = inclusion_exclusion(pars, table)
     identity_ok = bd.n_inclusion_exclusion == bd.n_direct
     per_k = []
@@ -532,8 +529,7 @@ def run_verification(x_max: int = 2000, seed: int = DEFAULT_SEED):
     m = merge_summaries(s1, s2)
     d = scan_range(16, 40_000, thr, table)
     merged_equal = (
-        m.ranges == d.ranges
-        and m.total == d.total
+        (m.a, m.b) == (d.a, d.b)
         and m.eligible == d.eligible
         and np.array_equal(m.hist, d.hist)
         and m.exceed == d.exceed
@@ -641,6 +637,11 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         cfg.c_values = _parse_c_list(cfg.c_values)
     cfg.mode = MODE_PER_RANGE if cfg.mode == "range" else MODE_PER_N
     cfg.validate()
+    cpus = os.cpu_count() or 1
+    if cfg.workers > cpus:
+        print(f"note: --workers {cfg.workers} clamped to {cpus}, the CPU count",
+              file=sys.stderr)
+        cfg.workers = cpus
     return cfg
 
 

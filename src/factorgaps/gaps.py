@@ -6,11 +6,11 @@ statistic is
     gap(n) = ln( max_j  ln p_{j+1} / ln p_j ),
 
 undefined (None) when w <= 1. ``scan_range`` aggregates the statistic
-over an integer range into a :class:`ScanSummary` that can be merged
-exactly: all accumulators are integers (histogram counts, exceedance
-counts, and fixed-point moment sums), so merging summaries over any
-partition of a range reproduces the direct scan bit for bit, regardless
-of segmentation or worker count.
+over an integer range [a, b) into a :class:`ScanSummary`. All its
+accumulators are integers (histogram counts, exceedance counts, and
+fixed-point moment sums), so the summaries of neighbouring ranges merge
+exactly: folding the parts of any partition in order reproduces the
+direct scan bit for bit, regardless of segmentation or worker count.
 """
 
 from __future__ import annotations
@@ -99,31 +99,34 @@ def gap_profile(fact: Factorization) -> GapProfile:
 
 @dataclass(eq=False)
 class ScanSummary:
-    """Mergeable distribution summary of the gap statistic over a range set.
+    """Mergeable distribution summary of the gap statistic over [a, b).
 
-    ``ranges`` is a sorted tuple of disjoint [a, b) intervals. ``total``
-    counts every scanned integer; ``eligible`` those with omega >= 2 (the
-    statistic exists). ``hist`` holds counts of gap(n) - ln ln ln n in
-    fixed bins (slot 0 underflow, slots 1..400 cover [-10, 10) in steps
-    of 0.05, slot 401 overflow). ``exceed`` maps each threshold c to the
-    count of eligible n whose ratio exceeds c * ln ln n (mode "per-n") or
-    c * ln ln range_point (mode "per-range"). ``sum_gap_fp`` and
-    ``sum_gap_sq_fp`` are fixed-point integer sums of gap and gap**2 over
-    eligible n, in units of 1/MOMENT_SCALE. A summary scanned without
-    the distribution has ``hist``, ``sum_gap_fp`` and ``sum_gap_sq_fp``
-    None: it carries the exceedance counts only.
+    ``total`` counts every scanned integer; ``eligible`` those with omega
+    >= 2 (the statistic exists). ``hist`` holds counts of gap(n) - ln ln
+    ln n in fixed bins (slot 0 underflow, slots 1..400 cover [-10, 10) in
+    steps of 0.05, slot 401 overflow). ``exceed`` maps each threshold c
+    to the count of eligible n whose ratio exceeds c * ln ln n (mode
+    "per-n") or c * ln ln range_point (mode "per-range"). ``sum_gap_fp``
+    and ``sum_gap_sq_fp`` are fixed-point integer sums of gap and gap**2
+    over eligible n, in units of 1/MOMENT_SCALE. A summary scanned
+    without the distribution has ``hist``, ``sum_gap_fp`` and
+    ``sum_gap_sq_fp`` None: it carries the exceedance counts only.
     """
 
-    ranges: tuple[tuple[int, int], ...]
+    a: int
+    b: int
     thresholds: tuple[float, ...]
     mode: str
     range_point: Optional[int]
-    total: int
     eligible: int
     hist: Optional[np.ndarray]
     exceed: dict[float, int]
     sum_gap_fp: Optional[int]
     sum_gap_sq_fp: Optional[int]
+
+    @property
+    def total(self) -> int:
+        return self.b - self.a
 
     @property
     def mean_gap(self) -> float:
@@ -141,49 +144,6 @@ class ScanSummary:
 
     def config(self) -> tuple:
         return (self.thresholds, self.mode, self.range_point, self.hist is not None)
-
-
-def empty_summary(
-    thresholds: Iterable[float],
-    mode: str = MODE_PER_N,
-    range_point: Optional[int] = None,
-    distribution: bool = True,
-) -> ScanSummary:
-    """The identity element for :func:`merge_summaries`."""
-    thr = _normalize_thresholds(thresholds)
-    zero = 0 if distribution else None
-    return ScanSummary(
-        ranges=(),
-        thresholds=thr,
-        mode=mode,
-        range_point=range_point,
-        total=0,
-        eligible=0,
-        hist=np.zeros(HIST_BINS + 2, dtype=np.int64) if distribution else None,
-        exceed={c: 0 for c in thr},
-        sum_gap_fp=zero,
-        sum_gap_sq_fp=zero,
-    )
-
-
-def _normalize_thresholds(thresholds: Iterable[float]) -> tuple[float, ...]:
-    thr = tuple(sorted(set(float(c) for c in thresholds)))
-    if any(c <= 0 for c in thr):
-        raise ValueError("thresholds must be positive")
-    return thr
-
-
-def _normalize_ranges(ranges) -> tuple[tuple[int, int], ...]:
-    rs = sorted(ranges)
-    out: list[tuple[int, int]] = []
-    for a, b in rs:
-        if out and a < out[-1][1]:
-            raise ValueError(f"ranges overlap near {out[-1]} and ({a}, {b})")
-        if out and a == out[-1][1]:
-            out[-1] = (out[-1][0], b)
-        else:
-            out.append((a, b))
-    return tuple(out)
 
 
 def _sieving_primes(table: PrimeTable, b: int) -> tuple[list[int], list[float]]:
@@ -358,7 +318,8 @@ def scan_range(
         Range bounds, 16 <= a < b <= 2**53; the floor keeps ln ln n and
         ln ln ln n positive for every n, the ceiling keeps n exact as a float.
     thresholds : iterable of float
-        Positive scale factors c for the exceedance counters.
+        Positive scale factors c for the exceedance counters, in any
+        order; the summary keeps them sorted and without repeats.
     table : PrimeTable
         Must reach sqrt(b - 1).
     mode : str
@@ -393,8 +354,15 @@ def scan_range(
     if mode == MODE_PER_N:
         range_point = None
 
-    s = empty_summary(thresholds, mode, range_point, distribution)
-    s.ranges, s.total = ((a, b),), b - a
+    thr = tuple(sorted(set(float(c) for c in thresholds)))
+    if any(c <= 0 for c in thr):
+        raise ValueError("thresholds must be positive")
+    zero = 0 if distribution else None
+    s = ScanSummary(
+        a, b, thr, mode, range_point, eligible=0,
+        hist=np.zeros(HIST_BINS + 2, dtype=np.int64) if distribution else None,
+        exceed=dict.fromkeys(thr, 0), sum_gap_fp=zero, sum_gap_sq_fp=zero,
+    )
     for ws, _, lnln, _, ratio, _ in _walk(a, b, table, segment_size):
         buf, bins, mask = (x[: ratio.size] for x in (ws.buf, ws.bins, ws.masks[0]))
         block_eligible = int(np.count_nonzero(ratio))
@@ -430,16 +398,21 @@ def scan_range(
 
 
 def merge_summaries(s1: ScanSummary, s2: ScanSummary) -> ScanSummary:
-    """Combine summaries over disjoint ranges; exact and commutative."""
+    """The summary of [s1.a, s2.b) from those of its neighbouring parts,
+    s1 of [s1.a, s1.b) and s2 of [s1.b, s2.b); exact, not commutative."""
     if s1.config() != s2.config():
         raise ValueError("summaries have different thresholds, mode or kind")
+    if s1.b != s2.a:
+        raise ValueError(
+            f"[{s1.a}, {s1.b}) and [{s2.a}, {s2.b}) are not neighbours in order"
+        )
     dist = s1.hist is not None
     return ScanSummary(
-        ranges=_normalize_ranges(s1.ranges + s2.ranges),
+        a=s1.a,
+        b=s2.b,
         thresholds=s1.thresholds,
         mode=s1.mode,
         range_point=s1.range_point,
-        total=s1.total + s2.total,
         eligible=s1.eligible + s2.eligible,
         hist=s1.hist + s2.hist if dist else None,
         exceed={c: s1.exceed[c] + s2.exceed[c] for c in s1.thresholds},
@@ -495,7 +468,7 @@ def empirical_density(summary: ScanSummary, c: float) -> DensityReport:
         raise ValueError(f"threshold {c} not configured in this summary")
     if summary.eligible == 0:
         raise EmptySampleError("no eligible integers in summary")
-    x = max(b for _, b in summary.ranges) - 1
+    x = summary.b - 1
     return DensityReport(
         c=c,
         x=x,

@@ -301,13 +301,14 @@ def test_criterion_9_performance_report():
     single = time.perf_counter() - t0
     rate = (10**8 - 16) / single / 1e6
 
-    from factorgaps.cli import RunConfig, run_scan
+    from factorgaps.cli import build_parser, config_from_args, run_scan
 
     speedups = {}
     for w in (2, 8):
-        cfg = RunConfig(
-            subcommand="scan", lo=16, hi=10**8, c_values=(1.0,), workers=w
-        )
+        # as the CLI would run it: --workers above the CPU count is clamped
+        cfg = config_from_args(build_parser().parse_args(
+            ["scan", "--min", "16", "--max", str(10**8), "--c", "1", "--workers", str(w)]
+        ))
         t0 = time.perf_counter()
         run_scan(cfg)
         speedups[w] = single / (time.perf_counter() - t0)

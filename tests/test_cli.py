@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from factorgaps import (
@@ -15,7 +16,7 @@ from factorgaps import (
     wide_squarefree_set,
 )
 from factorgaps.cli import main, run_verification
-from factorgaps.gaps import MODE_PER_N, MODE_PER_RANGE, empty_summary
+from factorgaps.gaps import HIST_BINS, MODE_PER_N, MODE_PER_RANGE, ScanSummary
 from factorgaps.sieve import DEFAULT_SEGMENT_SIZE
 
 
@@ -107,11 +108,42 @@ def test_count_extreme_c_prints_strict_json_or_refuses(monkeypatch, c, want_rc):
     ("scan", "--min", "16", "--max", "100", "--c", "1"),
     ("count", "--x", "30", "--c", "1"),
 ])
-def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
-    rc, text = run_cli(*argv, "--out", str(tmp_path / "missing" / "x.json"))
+def test_unwritable_out_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
+    # refused before any work: no prime table is built
+    monkeypatch.setattr(cli, "build_prime_table", lambda limit: pytest.fail("table"))
+    (tmp_path / "a-file").write_text("")
+    for parent in ("missing", "a-file"):
+        rc, text = run_cli(*argv, "--out", str(tmp_path / parent / "x.json"))
+        assert (rc, text) == (2, "")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_out_write_failure_is_still_a_usage_error(tmp_path, capsys):
+    # the directory checks out, but the path itself is a directory
+    rc, text = run_cli("count", "--x", "30", "--c", "1", "--out", str(tmp_path))
     assert (rc, text) == (2, "")
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: cannot write --out")
+
+
+@pytest.mark.parametrize(
+    "x,c,reach",
+    [(10**5, 1.0, 3533), (10**5, 0.5, 12375), (10**5, 2.0, 14148), (10**5, 0.3, 10**5)],
+)
+def test_count_table_reaches_only_what_count_reads(monkeypatch, x, c, reach):
+    # the widest window x**(E/(E+1)), or the small-prime cutoff (x itself when E <= 1)
+    limits = []
+
+    def spy(limit):
+        limits.append(limit)
+        return build_prime_table(limit)
+
+    monkeypatch.setattr(cli, "build_prime_table", spy)
+    rc, text = run_cli("count", "--x", str(x), "--c", str(c))
+    assert rc == 0
+    assert limits == [reach]
+    monkeypatch.setattr(cli, "build_prime_table", lambda limit: build_prime_table(x))
+    assert run_cli("count", "--x", str(x), "--c", str(c)) == (0, text)
 
 
 # ---------------------------------------------------------------- enumerate-m
@@ -198,10 +230,16 @@ def test_scan_single_chunk_starts_no_pool(monkeypatch):
     assert a == b
 
 
+def zero_summary(lo, hi, thresholds, mode, range_point):
+    thr = tuple(sorted(set(thresholds)))
+    hist = np.zeros(HIST_BINS + 2, dtype=np.int64)
+    return ScanSummary(lo, hi, thr, mode, range_point, 0, hist, dict.fromkeys(thr, 0), 0, 0)
+
+
 def fake_pool(monkeypatch, started, run=True):
     """Replace the CLI's process pool by one that forks nothing: it records
     (max_workers, tasks) and runs the tasks in this process, or with
-    ``run`` False returns an empty summary per task."""
+    ``run`` False returns a zero summary of each task's chunk."""
 
     class Pool:
         def __init__(self, max_workers):
@@ -219,7 +257,7 @@ def fake_pool(monkeypatch, started, run=True):
             if run:
                 return map(fn, tasks)
             # a task is (lo, hi, thresholds, mode, range_point, ..., distribution)
-            return [empty_summary(t[2], t[3], t[4], t[-1]) for t in tasks]
+            return [zero_summary(*t[:5]) for t in tasks]
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
 
@@ -236,6 +274,17 @@ def test_scan_workers_clamped_to_cpu_count(monkeypatch, capsys, requested, cpus,
     assert [w for w, _ in started] == ([want] if want > 1 else [])
     err = capsys.readouterr().err
     assert (f"--workers {requested} clamped to {want}" in err) == (requested > want)
+
+
+def test_density_prints_one_clamp_note(monkeypatch, capsys):
+    started = []
+    fake_pool(monkeypatch, started)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rc, _ = run_cli("density", "--min", "16", "--max", "300000", "--c", "1",
+                    "--workers", "9", "--segment-size", "65536")
+    assert rc == 0
+    assert started == [(2, 5), (2, 5)]  # both scans run on the clamped count
+    assert capsys.readouterr().err.count("note: --workers 9 clamped to 2") == 1
 
 
 def test_huge_worker_request_forks_only_the_cpu_count(monkeypatch, capsys):
@@ -398,7 +447,8 @@ def test_enumerate_m_x_past_int64_refused_before_any_allocation(monkeypatch):
         ("verify --x-max 300 --seed 7", dict(x_max=300, seed=7, c_values=())),
     ],
 )
-def test_flags_reach_run_config(argv, fields):
+def test_flags_reach_run_config(monkeypatch, argv, fields):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # --workers 2 is not clamped
     argv = argv.split()
     cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
     assert cfg.subcommand == argv[0]

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -9,7 +10,6 @@ from factorgaps import (
     EmptySampleError,
     build_prime_table,
     empirical_density,
-    empty_summary,
     factorize,
     gap_profile,
     merge_summaries,
@@ -34,8 +34,7 @@ TABLE_5E4 = build_prime_table(50_000)  # reaches sqrt(2**31 + 2000)
 
 def summaries_equal(a, b):
     return (
-        a.ranges == b.ranges
-        and a.total == b.total
+        (a.a, a.b, a.total) == (b.a, b.b, b.total)
         and a.eligible == b.eligible
         and np.array_equal(a.hist, b.hist)
         and a.exceed == b.exceed
@@ -393,11 +392,9 @@ def test_merge_partition_law(table_small):
             scan_range(a, b, thr, table_small)
             for a, b in zip([16] + cuts, cuts + [40_000])
         ]
-        merged = parts[0]
-        for p in parts[1:]:
-            merged = merge_summaries(merged, p)
+        merged = functools.reduce(merge_summaries, parts)
         assert summaries_equal(merged, direct)
-        assert merged.ranges == ((16, 40_000),)
+        assert (merged.a, merged.b) == (16, 40_000)
 
 
 @settings(max_examples=25, deadline=None)
@@ -412,22 +409,23 @@ def test_merge_law_random_partitions(table_small, b, cut_seeds, segment_size, mo
     kw = dict(mode=mode, range_point=b - 1, segment_size=segment_size)
     direct = scan_range(16, b, thr, table_small, **kw)
     cuts = sorted({16 + int(u * (b - 16)) for u in cut_seeds} - {16, b})
-    merged = empty_summary(thr, mode, direct.range_point)
-    for a, z in zip([16] + cuts, cuts + [b]):
-        merged = merge_summaries(merged, scan_range(a, z, thr, table_small, **kw))
+    parts = [scan_range(a, z, thr, table_small, **kw) for a, z in zip([16] + cuts, cuts + [b])]
+    merged = functools.reduce(merge_summaries, parts)  # folded from the first part
     assert summaries_equal(merged, direct)
-    assert (merged.ranges, merged.config()) == (((16, b),), direct.config())
+    assert (merged.a, merged.b, merged.config()) == (16, b, direct.config())
 
 
-def test_merge_commutes_and_has_identity(table_small):
+def test_merge_joins_neighbours_in_order(table_small):
     s1 = scan_range(16, 1_000, [1.0], table_small)
-    s2 = scan_range(5_000, 6_000, [1.0], table_small)
-    ab = merge_summaries(s1, s2)
-    ba = merge_summaries(s2, s1)
-    assert summaries_equal(ab, ba)
-    assert ab.ranges == ((16, 1_000), (5_000, 6_000))  # disjoint, not adjacent
-    ident = merge_summaries(s1, empty_summary([1.0]))
-    assert summaries_equal(ident, s1)
+    s2 = scan_range(1_000, 6_000, [1.0], table_small)
+    joined = merge_summaries(s1, s2)
+    assert (joined.a, joined.b, joined.total) == (16, 6_000, 5_984)
+    assert summaries_equal(joined, scan_range(16, 6_000, [1.0], table_small))
+    gap = scan_range(7_000, 8_000, [1.0], table_small)
+    overlap = scan_range(500, 2_000, [1.0], table_small)
+    for left, right in ((s1, gap), (s1, overlap), (s2, s1)):  # s2 then s1: reversed
+        with pytest.raises(ValueError, match="not neighbours in order"):
+            merge_summaries(left, right)
 
 
 def test_merge_rejects_mismatch_and_overlap(table_small):
@@ -492,7 +490,7 @@ def test_scan_moments_match_floats(table_small):
 
 
 def exceedances_equal(a, b):
-    return (a.ranges, a.total, a.eligible, a.exceed) == (b.ranges, b.total, b.eligible, b.exceed)
+    return (a.a, a.b, a.total, a.eligible, a.exceed) == (b.a, b.b, b.total, b.eligible, b.exceed)
 
 
 NEAR_2_31 = st.integers(2**31 - 5000, 2**31 + 299)
@@ -538,9 +536,8 @@ def test_exceedance_only_merge_law(table_small, b, cut_seeds, segment_size, mode
     kw = dict(mode=mode, range_point=b - 1, segment_size=segment_size, distribution=False)
     direct = scan_range(16, b, thr, table_small, **kw)
     cuts = sorted({16 + int(u * (b - 16)) for u in cut_seeds} - {16, b})
-    merged = empty_summary(thr, mode, direct.range_point, distribution=False)
-    for a, z in zip([16] + cuts, cuts + [b]):
-        merged = merge_summaries(merged, scan_range(a, z, thr, table_small, **kw))
+    parts = [scan_range(a, z, thr, table_small, **kw) for a, z in zip([16] + cuts, cuts + [b])]
+    merged = functools.reduce(merge_summaries, parts)  # folded from the first part
     assert exceedances_equal(merged, direct)
     assert merged.config() == direct.config()
     assert (merged.hist, merged.sum_gap_fp, merged.sum_gap_sq_fp) == (None, None, None)
@@ -550,15 +547,16 @@ def test_exceedance_only_summary_refuses_moments_and_mixing(table_small):
     full = scan_range(16, 1_000, [1.0], table_small)
     only = scan_range(1_000, 2_000, [1.0], table_small, distribution=False)
     assert full.config() != only.config()
-    for s1, s2 in ((full, only), (only, full), (empty_summary([1.0]), only)):
+    for s1, s2 in ((full, only), (only, full)):
         with pytest.raises(ValueError):
             merge_summaries(s1, s2)
     with pytest.raises(ValueError):
         only.mean_gap
     with pytest.raises(ValueError):
         only.var_gap
-    empty = empty_summary([1.0], distribution=False)
-    assert exceedances_equal(merge_summaries(empty, only), only)
+    after = scan_range(2_000, 3_000, [1.0], table_small, distribution=False)
+    both = scan_range(1_000, 3_000, [1.0], table_small, distribution=False)
+    assert exceedances_equal(merge_summaries(only, after), both)
 
 
 def workspace_spy(monkeypatch):
