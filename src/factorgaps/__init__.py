@@ -10,7 +10,6 @@ integers with e^gap(n) > c ln ln n tends to 1 - e^(-1/c).
 """
 
 from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
     Factorization,
     InsufficientTableError,
     PrimeTable,
@@ -20,6 +19,7 @@ from .sieve import (
     primes_in_power_interval,
 )
 from .gaps import (
+    DEFAULT_SEGMENT_SIZE,
     DensityReport,
     EmptySampleError,
     GapProfile,

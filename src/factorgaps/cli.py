@@ -32,6 +32,7 @@ from .counting import (
     wide_squarefree_set,
 )
 from .gaps import (
+    DEFAULT_SEGMENT_SIZE,
     HIST_BINS,
     HIST_LO,
     HIST_WIDTH,
@@ -43,12 +44,7 @@ from .gaps import (
     scan_range,
     theoretical_density,
 )
-from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
-    InsufficientTableError,
-    build_prime_table,
-    factorize,
-)
+from .sieve import InsufficientTableError, build_prime_table, factorize
 
 COUNT_X_GUARD = 100_000_000
 VERIFY_GRID_X = (30, 100, 300, 1000, 2000)
@@ -100,10 +96,10 @@ class RunConfig:
                         f"--x {self.x} exceeds the {COUNT_X_GUARD} guard; "
                         "pass --allow-large to override"
                     )
-            # the direct count sieves [1, x + 1) with int64 integers;
-            # enumerate-m is held to the same reach
-            if self.x + 1 > np.iinfo(np.int64).max:
-                raise UsageError(f"--x {self.x} is too large: x + 1 must fit int64")
+            # the direct count walks [1, x + 1) in the scan kernel, whose
+            # float64 n is exact below 2**53; enumerate-m is held to the same reach
+            if self.x + 1 > gaps.MAX_SCAN_END:
+                raise UsageError(f"--x {self.x} is too large: need x + 1 <= 2**53")
         if not all(math.isfinite(c) and c > 0 for c in self.c_values):
             raise UsageError("all c values must be finite and > 0")
         if self.x is not None and math.isinf(boundary.gap_exponent(self.x, self.c_values[0])):

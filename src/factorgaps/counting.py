@@ -29,9 +29,8 @@ from typing import Iterable
 import numpy as np
 
 from . import boundary
-from .gaps import _walk
+from .gaps import DEFAULT_SEGMENT_SIZE, _walk
 from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
     Factorization,
     InsufficientTableError,
     PrimeTable,

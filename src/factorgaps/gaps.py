@@ -23,12 +23,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
-    Factorization,
-    InsufficientTableError,
-    PrimeTable,
-)
+from .sieve import Factorization, InsufficientTableError, PrimeTable
 
 HIST_LO = -10.0
 HIST_HI = 10.0
@@ -43,9 +38,10 @@ HIST_BINS = 400  # in-range bins; slots 0 and HIST_BINS+1 are under/overflow
 # integer: about 96 MiB at 2**22.
 MOMENT_SCALE = 1 << 36
 MAX_SEGMENT_SIZE = 1 << 22
+DEFAULT_SEGMENT_SIZE = 1 << 20
 POST_BLOCK = 1 << 15  # integers per post-pass block; results do not depend on it
 
-MAX_SCAN_END = 2**53  # the post-pass's float64 n is exact below this
+MAX_SCAN_END = 2**53  # the kernel's float64 n and prod are exact below this
 
 MODE_PER_N = "per-n"
 MODE_PER_RANGE = "per-range"
@@ -139,8 +135,8 @@ class ScanSummary:
     @property
     def var_gap(self) -> float:
         """Population variance of the gap statistic over eligible n."""
-        m = self.mean_gap
-        return self.sum_gap_sq_fp / MOMENT_SCALE / self.eligible - m * m
+        m = self.mean_gap  # the two sums round apart: clamp a tiny negative
+        return max(0.0, self.sum_gap_sq_fp / MOMENT_SCALE / self.eligible - m * m)
 
     def config(self) -> tuple:
         return (self.thresholds, self.mode, self.range_point, self.hist is not None)
@@ -160,13 +156,13 @@ def _sieving_primes(table: PrimeTable, b: int) -> tuple[list[int], list[float]]:
 PRESIEVE_PRIMES = (2, 3, 5, 7, 11, 13)  # their product is 30030
 
 
-@lru_cache(maxsize=16)  # keys: the 7 prefixes of PRESIEVE_PRIMES, 2 dtypes
-def _presieve_pattern(primes, logs, dtype):
+@lru_cache(maxsize=7)  # keys: the 7 prefixes of PRESIEVE_PRIMES
+def _presieve_pattern(primes, logs):
     """The kernel's state after the first powers of ``primes`` (prod, the
     product of those dividing n, then last_log, max_ratio) over one period
     of n mod prod(primes), read-only (Oliveira e Silva et al., 2014)."""
     n = math.prod(primes)
-    prod, last_log, max_ratio = np.ones(n, dtype=dtype), np.full(n, np.inf), np.zeros(n)
+    prod, last_log, max_ratio = np.ones(n), np.full(n, np.inf), np.zeros(n)
     for p, lp in zip(primes, logs):
         np.maximum(max_ratio[::p], lp / last_log[::p], out=max_ratio[::p])
         last_log[::p] = lp
@@ -185,42 +181,31 @@ def _tile(out, period, off):
     out[out.size - r :] = period[:r]
 
 
-def _int_dtype(b):
-    return np.int32 if b - 1 <= 2**31 - 1 else np.int64
-
-
 class _Workspace:
-    """Arrays for segments of at most ``size`` integers below ``b``, made
-    once and reused through slices and ``out=``: four per integer, a
+    """Arrays for segments of at most ``size`` integers, made once and
+    reused through slices and ``out=``: prod, last_log and max_ratio, three
+    float64 per integer (n < 2**53, so prod, a divisor of n, is exact); a
     ceil(size/17) scratch for the strided loop, where only primes >= 17
-    strike, and post-pass block buffers; untouched pages are never faulted."""
+    strike; and post-pass block buffers, with the ramp 0, 1, ... that n is
+    built from. Untouched pages are never faulted."""
 
-    def __init__(self, size: int, b: int):
-        self.size, self.b = size, b
-        self.dtype = _int_dtype(b)
-        self.idx = np.arange(size, dtype=self.dtype)  # n - lo
-        self.prod = np.empty(size, dtype=self.dtype)
-        self.last_log, self.max_ratio = np.empty((2, size))
+    def __init__(self, size: int):
+        self.size = size
+        self.prod, self.last_log, self.max_ratio = np.empty((3, size))
         self.tmp = np.empty(-(-size // 17))
         self.block = min(POST_BLOCK, size)
+        self.ramp = np.arange(float(self.block))
         self.n, self.cof, self.buf = np.empty((3, self.block))
         self.bins = np.empty(self.block, dtype=np.int64)
         self.masks = np.empty((3, self.block), dtype=bool)
 
 
-_last_workspace: Optional[_Workspace] = None
-
-
-def _scan_workspace(size: int, b: int) -> _Workspace:
+@lru_cache(maxsize=1)
+def _scan_workspace(size: int) -> _Workspace:
     """This process's kernel workspace, kept from the last walk and rebuilt
-    only for another segment length or dtype, so the tasks of a fanned-out
-    scan fault its pages in once per worker; bound checks follow ``b``."""
-    global _last_workspace
-    ws = _last_workspace
-    if ws is None or ws.size != size or ws.dtype != _int_dtype(b):
-        ws = _last_workspace = _Workspace(size, b)
-    ws.b = b
-    return ws
+    only for another segment length, so the tasks of a fanned-out scan
+    fault its pages in once per worker."""
+    return _Workspace(size)
 
 
 def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
@@ -235,12 +220,12 @@ def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
     at +inf so a first factor's update (lp / inf = 0) is a no-op. The first
     powers of PRESIEVE_PRIMES come from a tiled pattern."""
     seglen = hi - lo
-    if seglen > ws.size or hi > ws.b:
+    if seglen > ws.size:
         raise ValueError(f"[{lo}, {hi}) does not fit the workspace")
     prod, last_log, max_ratio = (a[:seglen] for a in (ws.prod, ws.last_log, ws.max_ratio))
     root = isqrt(hi - 1)
     k = sum(p <= root for p in PRESIEVE_PRIMES)
-    pattern = _presieve_pattern(tuple(small_primes[:k]), tuple(prime_logs[:k]), ws.dtype)
+    pattern = _presieve_pattern(tuple(small_primes[:k]), tuple(prime_logs[:k]))
     off = lo % pattern[0].size
     for out, period in zip((prod, last_log, max_ratio), pattern):
         _tile(out, period, off)
@@ -269,15 +254,16 @@ def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
 
 def _finish_blocks(lo, hi, ws):
     """Finish the sieved [lo, hi) in blocks of ``ws.block`` integers,
-    yielding per block its slice of the segment, n (float64, exact below
-    2**53), the cofactor n / prod (exact, as prod divides n: 1 or the
-    largest prime factor) in block buffers that the next block overwrites,
-    and max_ratio's view with the cofactor's ratio taken in (0 exactly when
-    omega <= 1, else > 1). log 1 = 0 and last_log = inf drop out of the max."""
+    yielding per block its slice of the segment, n (the ramp plus the
+    block's first integer, float64 and exact below 2**53), the cofactor
+    n / prod (exact, as prod divides n: 1 or the largest prime factor) in
+    block buffers that the next block overwrites, and max_ratio's view with
+    the cofactor's ratio taken in (0 exactly when omega <= 1, else > 1).
+    log 1 = 0 and last_log = inf drop out of the max."""
     for j in range(0, hi - lo, ws.block):
         sl = slice(j, min(j + ws.block, hi - lo))
         n, cof, buf = (a[: sl.stop - j] for a in (ws.n, ws.cof, ws.buf))
-        np.add(ws.idx[sl], float(lo), out=n)
+        np.add(ws.ramp[: n.size], float(lo + j), out=n)
         np.divide(n, ws.prod[sl], out=cof)
         np.divide(np.log(cof, out=buf), ws.last_log[sl], out=buf)
         ratio = np.maximum(ws.max_ratio[sl], buf, out=ws.max_ratio[sl])
@@ -291,7 +277,7 @@ def _walk(a, b, table, segment_size):
     last_log. Not re-entrant: every walk in a process sieves into the one
     workspace of :func:`_scan_workspace`, which the next block overwrites."""
     small_primes, prime_logs = _sieving_primes(table, b)
-    ws = _scan_workspace(min(segment_size, b - a), b)
+    ws = _scan_workspace(min(segment_size, b - a))
     for lo in range(a, b, segment_size):
         hi = min(lo + segment_size, b)
         _sieve_segment(lo, hi, small_primes, prime_logs, ws)

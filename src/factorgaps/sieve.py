@@ -16,8 +16,6 @@ import numpy as np
 
 from . import boundary
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
-
 
 class InsufficientTableError(Exception):
     """The prime table does not reach far enough for the request."""

@@ -27,8 +27,7 @@ from factorgaps import (
 )
 from factorgaps import oracle
 from factorgaps.cli import main
-from factorgaps.gaps import MODE_PER_RANGE, _walk
-from factorgaps.sieve import DEFAULT_SEGMENT_SIZE
+from factorgaps.gaps import DEFAULT_SEGMENT_SIZE, MODE_PER_RANGE, _walk
 
 GRID_X = (30, 100, 300, 1000, 2000)
 GRID_C = (0.5, 1.0, 2.0)

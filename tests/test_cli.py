@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -16,8 +17,13 @@ from factorgaps import (
     wide_squarefree_set,
 )
 from factorgaps.cli import main, run_verification
-from factorgaps.gaps import HIST_BINS, MODE_PER_N, MODE_PER_RANGE, ScanSummary
-from factorgaps.sieve import DEFAULT_SEGMENT_SIZE
+from factorgaps.gaps import (
+    DEFAULT_SEGMENT_SIZE,
+    HIST_BINS,
+    MODE_PER_N,
+    MODE_PER_RANGE,
+    ScanSummary,
+)
 
 
 def run_cli(*argv):
@@ -337,6 +343,16 @@ def test_scan_csv_shape():
     assert sum(int(l.split(",")[2]) for l in data[1:]) == eligible
 
 
+@pytest.mark.parametrize("lo,hi", [(16, 19), (30, 31)])  # one eligible n each
+def test_scan_variance_never_negative(lo, hi):
+    # the moment sums round gap and gap**2 apart, so E[g^2] - E[g]^2 can dip below 0
+    argv = ("scan", "--min", str(lo), "--max", str(hi), "--c", "1")
+    rc, text = run_cli(*argv)
+    assert rc == 0 and json.loads(text)["var_f"] == 0
+    rc, text = run_cli(*argv, "--format", "csv")
+    assert rc == 0 and "# var_f=0\n" in text
+
+
 def test_scan_out_file(tmp_path):
     path = tmp_path / "scan.json"
     rc, text = run_cli(
@@ -403,26 +419,26 @@ def test_range_past_2_53_refused_before_any_allocation(monkeypatch, cmd):
     cli.RunConfig(subcommand=cmd, lo=2**53 - 100, hi=2**53, c_values=(1.0,)).validate()
 
 
-def test_count_x_past_int64_refused_before_any_allocation(monkeypatch):
+def test_count_x_past_2_53_refused_before_any_allocation(monkeypatch):
     def no_table(limit):
-        raise AssertionError("the int64 guard must fire before the prime table")
+        raise AssertionError("the 2**53 guard must fire before the prime table")
 
     monkeypatch.setattr(cli, "build_prime_table", no_table)
-    for x in (10**19, 2**63 - 1):
+    for x in (2**53, 10**19, 2**63 - 1):
         rc, out = run_cli("count", "--x", str(x), "--c", "1", "--allow-large")
         assert (rc, out) == (2, "")
-    cli.RunConfig(subcommand="count", x=2**63 - 2, c_values=(1.0,), allow_large=True).validate()
+    cli.RunConfig(subcommand="count", x=2**53 - 1, c_values=(1.0,), allow_large=True).validate()
 
 
-def test_enumerate_m_x_past_int64_refused_before_any_allocation(monkeypatch):
+def test_enumerate_m_x_past_2_53_refused_before_any_allocation(monkeypatch):
     def no_table(limit):
-        raise AssertionError("the int64 guard must fire before the prime table")
+        raise AssertionError("the 2**53 guard must fire before the prime table")
 
     monkeypatch.setattr(cli, "build_prime_table", no_table)
-    for x in (10**19, 2**63 - 1):
+    for x in (2**53, 10**19, 2**63 - 1):
         rc, out = run_cli("enumerate-m", "--x", str(x), "--c", "1")
         assert (rc, out) == (2, "")
-    cli.RunConfig(subcommand="enumerate-m", x=2**63 - 2, c_values=(1.0,)).validate()
+    cli.RunConfig(subcommand="enumerate-m", x=2**53 - 1, c_values=(1.0,)).validate()
 
 
 @pytest.mark.parametrize(
@@ -580,3 +596,31 @@ def test_verify_negative_control(monkeypatch):
     rc, text = run_cli("verify", "--x-max", "100")
     assert rc == 1
     assert "FAIL" in text
+
+
+# ---------------------------------------------------------------- output digests
+
+# sha256 prefixes of stdout; a change that alters output on purpose updates
+# them and says so in CHANGES.md
+STDOUT_DIGESTS = {
+    "scan --min 16 --max 300000 --c 0.5,1,2": "7d9499c2620135f4",
+    "scan --min 16 --max 300000 --c 0.5,1,2 --mode range --format csv": "ddf93d3808eb1c29",
+    "scan --min 2147400000 --max 2147600000 --c 0.5,1,2 --segment-size 65536":
+        "9a42189b0d731ce6",
+    "density --min 16 --max 300000 --c 0.25,0.5,1,2,4": "9a02f2198f7cc873",
+    "density --min 16 --max 300000 --c 0.25,0.5,1,2,4 --mode range --format csv":
+        "3718bcd5bbf056e1",
+    "count --x 100000 --c 1": "8c873b568ca9e0b9",
+    "count --x 100000 --c 0.5": "fbcd0a9e27fd1749",
+    "count --x 100000 --c 2": "280b056973718ea6",
+    "enumerate-m --x 1000000 --c 1": "2ce5164b05c3ddb6",
+    "verify --x-max 300": "8b4874738081e6b3",
+}
+
+
+def test_stdout_digests_unchanged():
+    got = {
+        argv: hashlib.sha256(run_cli(*argv.split())[1].encode()).hexdigest()[:16]
+        for argv in STDOUT_DIGESTS
+    }
+    assert got == STDOUT_DIGESTS

@@ -114,7 +114,7 @@ def sieve_fresh(lo, hi, table, ws=None):
     of the workspace. Every table prime is passed, as scan_range passes
     primes up to the root of its whole range; the kernel must stop at this
     window's root."""
-    ws = ws or _Workspace(hi - lo, hi)
+    ws = ws or _Workspace(hi - lo)
     sieving = _sieving_primes(table, table.limit**2 + 1)
     _sieve_segment(lo, hi, *sieving, ws)
     blocks = [(sl, n.copy(), cof.copy()) for sl, n, cof, _ in _finish_blocks(lo, hi, ws)]
@@ -166,7 +166,7 @@ def test_sieve_segment_matches_factorization(table_small, lo, length):
         (1, 25),  # hi - 1 < 25: the pattern of 2, 3 is tiled 4 times
         (10**6, 10**6 + 65_000),  # the mod-30030 pattern is tiled 3 times
         (100, 169),  # hi - 1 < 169: 13 is not pre-sieved
-        (2**31 - 2000, 2**31 + 2000),  # idx and prod switch to int64
+        (2**31 - 2000, 2**31 + 2000),  # where int32 integers would overflow
     ],
 )
 def test_sieve_segment_edge_windows(lo, hi):
@@ -185,7 +185,7 @@ WINDOWS = st.one_of(
 @example(windows=[(2**31 - 200, 300), (100, 60), (5, 20), (10**6, 400), (2**31 - 3, 6)])
 def test_workspace_reuse_leaks_no_state(windows):
     # one workspace through consecutive windows of any length and root
-    ws = _Workspace(max(n for _, n in windows), max(lo + n for lo, n in windows))
+    ws = _Workspace(max(n for _, n in windows))
     for lo, n in windows:
         shared = sieve_fresh(lo, lo + n, TABLE_5E4, ws)
         fresh = sieve_fresh(lo, lo + n, TABLE_5E4)
@@ -194,12 +194,10 @@ def test_workspace_reuse_leaks_no_state(windows):
 
 
 def test_workspace_rejects_segments_that_do_not_fit():
-    ws = _Workspace(100, 1000)
+    ws = _Workspace(100)
     sieving = _sieving_primes(TABLE_5E4, 1000)
     with pytest.raises(ValueError):
         _sieve_segment(16, 117, *sieving, ws)  # longer than the workspace
-    with pytest.raises(ValueError):
-        _sieve_segment(950, 1001, *sieving, ws)  # past the workspace's bound
 
 
 @pytest.mark.parametrize("block", [1, 7, 4096])
@@ -210,7 +208,7 @@ def test_post_pass_block_length_changes_nothing(monkeypatch, table_small, block)
     pars = [counting.make_params(x, c) for x, c in ((3_001, 1.0), (2_500, 0.5))]
 
     def results():
-        monkeypatch.setattr(gaps_module, "_last_workspace", None)
+        gaps_module._scan_workspace.cache_clear()
         out = []
         for (a, b), kw in cases:
             for mode in (MODE_PER_N, MODE_PER_RANGE):
@@ -223,7 +221,7 @@ def test_post_pass_block_length_changes_nothing(monkeypatch, table_small, block)
     want_scans, want_counts = results()
     monkeypatch.setattr(gaps_module, "POST_BLOCK", block)
     got_scans, got_counts = results()
-    assert _Workspace(4099, 10**6).block == block
+    assert _Workspace(4099).block == block
     for got, want in zip(got_scans, want_scans):
         assert got.config() == want.config()
         assert summaries_equal(got, want) if want.hist is not None else exceedances_equal(got, want)
@@ -232,8 +230,8 @@ def test_post_pass_block_length_changes_nothing(monkeypatch, table_small, block)
 
 
 def test_workspace_footprint():
-    # per integer: idx and prod (int32), last_log and max_ratio (float64)
-    ws = _Workspace(2**20, 10**8)
+    # per integer: prod, last_log and max_ratio, all float64
+    ws = _Workspace(2**20)
     arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
     assert sum(a.nbytes for a in arrays) <= 26 * 2**20
 
@@ -564,32 +562,31 @@ def workspace_spy(monkeypatch):
     built = []
 
     class Spy(gaps_module._Workspace):
-        def __init__(self, size, b):
-            built.append((size, b))
-            super().__init__(size, b)
+        def __init__(self, size):
+            built.append(size)
+            super().__init__(size)
 
     monkeypatch.setattr(gaps_module, "_Workspace", Spy)
-    monkeypatch.setattr(gaps_module, "_last_workspace", None)
+    gaps_module._scan_workspace.cache_clear()
     return built
 
 
 @pytest.mark.parametrize(
     "first,second,builds",
     [
-        ((16, 20_000), (50_000, 70_000), 1),  # same length and dtype: reused
-        ((2**31 - 9000, 2**31 - 1000), (2**31 - 4000, 2**31 + 4000), 2),  # to int64
-        ((2**31 - 4000, 2**31 + 4000), (2**31 - 9000, 2**31 - 1000), 2),  # to int32
-        ((2**31 + 100, 2**31 + 5000), (2**31 - 4000, 2**31 + 4000), 1),  # both int64
+        ((16, 20_000), (50_000, 70_000), 1),  # same segment length: reused
+        ((2**31 - 9000, 2**31 - 1000), (2**31 - 4000, 2**31 + 4000), 1),  # below, then across 2**31
+        ((2**31 - 4000, 2**31 + 4000), (2**31 - 9000, 2**31 - 1000), 1),  # across, then below
+        ((2**31 + 100, 2**31 + 5000), (2**31 - 4000, 2**31 + 4000), 1),  # above, then across
     ],
 )
 def test_scans_in_one_process_share_a_workspace(monkeypatch, first, second, builds):
     built = workspace_spy(monkeypatch)
     thr, kw = (0.5, 1.0, 2.0), dict(segment_size=4096)
     shared = [scan_range(a, b, thr, TABLE_5E4, **kw) for a, b in (first, second)]
-    assert len(built) == builds
-    assert all(size == 4096 for size, _ in built)
+    assert built == [4096] * builds
     for (a, b), got in zip((first, second), shared):
-        monkeypatch.setattr(gaps_module, "_last_workspace", None)
+        gaps_module._scan_workspace.cache_clear()
         assert summaries_equal(got, scan_range(a, b, thr, TABLE_5E4, **kw))
         assert exceedances_equal(
             scan_range(a, b, thr, TABLE_5E4, **kw, distribution=False), got
@@ -601,7 +598,7 @@ def test_workspace_rebuilt_for_another_segment_length(monkeypatch):
     scan_range(16, 20_000, [1.0], TABLE_5E4, segment_size=4096)
     scan_range(16, 20_000, [1.0], TABLE_5E4, segment_size=1000)
     scan_range(16, 2_000, [1.0], TABLE_5E4, segment_size=4096)  # shorter than a segment
-    assert [size for size, _ in built] == [4096, 1000, 1984]
+    assert built == [4096, 1000, 1984]
 
 
 # ---------------------------------------------------------------- densities
