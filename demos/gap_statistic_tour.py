@@ -41,7 +41,9 @@ def show_distribution(table, upper):
     print("=" * 72)
     s = scan_range(16, upper, [0.5, 1.0, 2.0], table)
     print(f"  scanned {s.total}, eligible (two or more prime factors): {s.eligible}")
-    print(f"  mean gap {s.mean_gap:.4f}, variance {s.var_gap:.4f}")
+    print(f"  mean of t(n) {s.mean_t:.4f}, variance {s.var_t:.4f} (at bin midpoints)")
+    ks, u = s.ks
+    print(f"  largest CDF gap to Gumbel exp(-e^-u): {ks:.4f} at u = {u:+.2f}")
     print()
 
     # coarse text histogram: merge the 0.05-wide bins into 0.25 blocks

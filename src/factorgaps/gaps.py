@@ -7,16 +7,15 @@ statistic is
 
 undefined (None) when w <= 1. ``scan_range`` aggregates the statistic
 over an integer range [a, b) into a :class:`ScanSummary`. All its
-accumulators are integers (histogram counts, exceedance counts, and
-fixed-point moment sums), so the summaries of neighbouring ranges merge
-exactly: folding the parts of any partition in order reproduces the
+accumulators are integer counts, so the summaries of neighbouring ranges
+merge exactly: folding the parts of any partition in order reproduces the
 direct scan bit for bit, regardless of segmentation or worker count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import isqrt
 from typing import Iterable, Optional
@@ -26,20 +25,17 @@ import numpy as np
 from .sieve import Factorization, InsufficientTableError, PrimeTable
 
 HIST_LO = -10.0
-HIST_HI = 10.0
 HIST_WIDTH = 0.05
 HIST_INV_WIDTH = 20.0  # binning multiplies by this; exact in binary
 HIST_BINS = 400  # in-range bins; slots 0 and HIST_BINS+1 are under/overflow
+_EDGES = HIST_LO + np.arange(HIST_BINS + 1) * HIST_WIDTH  # as the CSV prints them
+_GUMBEL = np.array([math.exp(-math.exp(-u)) for u in _EDGES])  # libm, not numpy's SIMD exp
+_MIDS = HIST_LO + (np.arange(HIST_BINS) + 0.5) * HIST_WIDTH
 
-# Moments are accumulated as integer multiples of 1/MOMENT_SCALE so that
-# addition is exact and order-independent. gap values stay below ~4 for
-# any feasible n, so the int64 sums taken per POST_BLOCK block fit with
-# room to spare. MAX_SEGMENT_SIZE bounds the workspace, at 24 B per
-# integer: about 96 MiB at 2**22.
-MOMENT_SCALE = 1 << 36
-MAX_SEGMENT_SIZE = 1 << 22
+MAX_SEGMENT_SIZE = 1 << 22  # bounds the workspace: 24 B per integer, 96 MiB
 DEFAULT_SEGMENT_SIZE = 1 << 20
 POST_BLOCK = 1 << 15  # integers per post-pass block; results do not depend on it
+TINY = np.finfo(float).tiny  # the post-pass floors ratio 0 to this: log is -708, not -inf
 
 MAX_SCAN_END = 2**53  # the kernel's float64 n and prod are exact below this
 
@@ -77,20 +73,9 @@ def gap_profile(fact: Factorization) -> GapProfile:
     if w <= 1:
         return GapProfile(n=fact.n, omega=w, gap=None, ratio=None, argmax_index=None)
     logs = [math.log(p) for p in primes]
-    best = 0.0
-    best_j = 0
-    for j in range(w - 1):
-        r = logs[j + 1] / logs[j]
-        if r > best:
-            best = r
-            best_j = j
-    return GapProfile(
-        n=fact.n,
-        omega=w,
-        gap=math.log(best),
-        ratio=best,
-        argmax_index=best_j + 1,
-    )
+    j = max(range(w - 1), key=lambda i: logs[i + 1] / logs[i])  # the first on ties
+    best = logs[j + 1] / logs[j]
+    return GapProfile(n=fact.n, omega=w, gap=math.log(best), ratio=best, argmax_index=j + 1)
 
 
 @dataclass(eq=False)
@@ -102,11 +87,11 @@ class ScanSummary:
     ln n in fixed bins (slot 0 underflow, slots 1..400 cover [-10, 10) in
     steps of 0.05, slot 401 overflow). ``exceed`` maps each threshold c
     to the count of eligible n whose ratio exceeds c * ln ln n (mode
-    "per-n") or c * ln ln range_point (mode "per-range"). ``sum_gap_fp``
-    and ``sum_gap_sq_fp`` are fixed-point integer sums of gap and gap**2
-    over eligible n, in units of 1/MOMENT_SCALE. A summary scanned
-    without the distribution has ``hist``, ``sum_gap_fp`` and
-    ``sum_gap_sq_fp`` None: it carries the exceedance counts only.
+    "per-n") or c * ln ln range_point (mode "per-range"). Without the
+    distribution ``hist`` is None. The law of t(n) = gap(n) - ln ln ln n
+    comes from ``hist`` alone, to binning precision: ratio > 1 gives t >
+    -ln ln ln n > -1.3 and ratio < log2 n < 53 gives t < ln 53 < 4, so no
+    eligible n is in the under- or overflow slot.
     """
 
     a: int
@@ -117,26 +102,38 @@ class ScanSummary:
     eligible: int
     hist: Optional[np.ndarray]
     exceed: dict[float, int]
-    sum_gap_fp: Optional[int]
-    sum_gap_sq_fp: Optional[int]
 
     @property
     def total(self) -> int:
         return self.b - self.a
 
-    @property
-    def mean_gap(self) -> float:
+    def _counts(self) -> np.ndarray:
         if self.hist is None:
             raise ValueError("summary was scanned without the distribution")
         if self.eligible == 0:
             raise EmptySampleError("no eligible integers scanned")
-        return self.sum_gap_fp / MOMENT_SCALE / self.eligible
+        return self.hist
 
     @property
-    def var_gap(self) -> float:
-        """Population variance of the gap statistic over eligible n."""
-        m = self.mean_gap  # the two sums round apart: clamp a tiny negative
-        return max(0.0, self.sum_gap_sq_fp / MOMENT_SCALE / self.eligible - m * m)
+    def mean_t(self) -> float:
+        """Mean of t(n) over eligible n, each at its bin's midpoint."""
+        return math.fsum(self._counts()[1:-1] * _MIDS) / self.eligible
+
+    @property
+    def var_t(self) -> float:
+        """Population variance of t(n) at the bin midpoints, about mean_t."""
+        dev = _MIDS - self.mean_t
+        return math.fsum(self._counts()[1:-1] * dev * dev) / self.eligible
+
+    @property
+    def ks(self) -> tuple[float, float]:
+        """(ks_gumbel, ks_u): the largest |F(u) - exp(-e^-u)| over the bin
+        edges u, F the binned CDF of t over eligible n, and the first edge
+        where it peaks."""
+        cdf = np.cumsum(self._counts()[:-1]) / self.eligible
+        dist = np.abs(cdf - _GUMBEL)
+        i = int(np.argmax(dist))
+        return float(dist[i]), float(_EDGES[i])
 
     def config(self) -> tuple:
         return (self.thresholds, self.mode, self.range_point, self.hist is not None)
@@ -218,7 +215,11 @@ def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
     increasing order, so each integer sees its factors ascending and the
     running maximum needs only the previous factor's log; last_log starts
     at +inf so a first factor's update (lp / inf = 0) is a no-op. The first
-    powers of PRESIEVE_PRIMES come from a tiled pattern."""
+    powers of PRESIEVE_PRIMES come from a tiled pattern. A large prime
+    (p * p > ws.size) strikes a segment at most once per power p**k, k >= 2,
+    so each k takes one vectorized pass over the large primes that strike
+    it (Oliveira e Silva et al., 2014); products are exact below 2**53, in
+    any order."""
     seglen = hi - lo
     if seglen > ws.size:
         raise ValueError(f"[{lo}, {hi}) does not fit the workspace")
@@ -229,6 +230,7 @@ def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
     off = lo % pattern[0].size
     for out, period in zip((prod, last_log, max_ratio), pattern):
         _tile(out, period, off)
+    large = []  # only a prime that strikes the segment can strike it with p**k
     for p, lp in zip(small_primes, prime_logs):
         if p > root:
             break
@@ -244,12 +246,24 @@ def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
         # positions holding p^k are exactly the p^k strides, so higher
         # powers come out without any divisibility scan
         d = p * p
+        if d > ws.size:
+            large.append(p)
+            continue
         while d <= hi - 1:
             start_d = (-lo) % d
             if start_d >= seglen:
                 break
             prod[start_d::d] *= p
             d *= p
+    big = np.array(large, dtype=np.int64)
+    d = big * big
+    while big.size:
+        start = (-lo) % d
+        hit = start < seglen
+        np.multiply.at(prod, start[hit], big[hit])
+        # p**(k+1) strikes only where p**k does; d * p <= hi - 1 without overflow
+        keep = hit & (d <= (hi - 1) // big)
+        big, d = big[keep], d[keep] * big[keep]
 
 
 def _finish_blocks(lo, hi, ws):
@@ -317,17 +331,17 @@ def scan_range(
     segment_size : int
         Sieve segment length; results are independent of it.
     distribution : bool
-        Whether to build the histogram and moments; without them the
-        summary holds total, eligible and the exceedances only, and its
-        ``hist``, ``sum_gap_fp`` and ``sum_gap_sq_fp`` are None.
+        Whether to build the histogram; without it the summary holds
+        total, eligible and the exceedances only, and its ``hist`` is None.
 
     The result is deterministic and identical for any segmentation or
     parallel split of [a, b), because every accumulator is an integer.
     Each block of :func:`_walk` adds its counts to one summary. An
-    ineligible n has ratio 0, which exceeds no (positive) bound, and gap
-    log 0 = -inf, which bins to the corrected underflow slot and is zeroed
-    before the moments; eligible n see the same float operations. A
-    per-range scan without the distribution takes no per-n log at all.
+    ineligible n has ratio 0, which exceeds no (positive) bound, and is
+    floored to the smallest normal double before the log, so its gap of
+    about -708 bins to the corrected underflow slot; eligible n see the
+    same float operations. A per-range scan without the distribution
+    takes no per-n log at all.
     """
     if not ELIGIBLE_FLOOR <= a < b <= MAX_SCAN_END:
         raise ValueError(f"need {ELIGIBLE_FLOOR} <= a < b <= 2**53, got [{a}, {b})")
@@ -343,15 +357,14 @@ def scan_range(
     thr = tuple(sorted(set(float(c) for c in thresholds)))
     if any(c <= 0 for c in thr):
         raise ValueError("thresholds must be positive")
-    zero = 0 if distribution else None
     s = ScanSummary(
         a, b, thr, mode, range_point, eligible=0,
         hist=np.zeros(HIST_BINS + 2, dtype=np.int64) if distribution else None,
-        exceed=dict.fromkeys(thr, 0), sum_gap_fp=zero, sum_gap_sq_fp=zero,
+        exceed=dict.fromkeys(thr, 0),
     )
     for ws, _, lnln, _, ratio, _ in _walk(a, b, table, segment_size):
         buf, bins, mask = (x[: ratio.size] for x in (ws.buf, ws.bins, ws.masks[0]))
-        block_eligible = int(np.count_nonzero(ratio))
+        block_eligible = int(np.count_nonzero(np.greater(ratio, 0, out=mask)))
         s.eligible += block_eligible
         if distribution or mode == MODE_PER_N:
             np.log(np.log(lnln, out=lnln), out=lnln)  # n -> ln ln n
@@ -363,8 +376,7 @@ def scan_range(
             s.exceed[c] += int(np.count_nonzero(np.greater(ratio, bound, out=mask)))
         if not distribution:
             continue
-        with np.errstate(divide="ignore"):
-            gap = np.log(ratio, out=ratio)
+        gap = np.log(np.maximum(ratio, TINY, out=ratio), out=ratio)
         np.log(lnln, out=buf)  # ln ln ln n, from ln ln n
         np.subtract(gap, buf, out=buf)
         buf -= HIST_LO
@@ -374,12 +386,6 @@ def scan_range(
         np.copyto(bins, buf, casting="unsafe")
         s.hist += np.bincount(bins, minlength=HIST_BINS + 2)
         s.hist[0] -= ratio.size - block_eligible
-
-        np.maximum(gap, 0, out=gap)  # -inf -> 0; an eligible gap is > 0
-        np.multiply(gap, MOMENT_SCALE, out=buf)
-        s.sum_gap_fp += int(np.rint(buf, out=buf).sum(dtype=np.int64))
-        np.multiply(np.multiply(gap, gap, out=buf), MOMENT_SCALE, out=buf)
-        s.sum_gap_sq_fp += int(np.rint(buf, out=buf).sum(dtype=np.int64))
     return s
 
 
@@ -392,18 +398,10 @@ def merge_summaries(s1: ScanSummary, s2: ScanSummary) -> ScanSummary:
         raise ValueError(
             f"[{s1.a}, {s1.b}) and [{s2.a}, {s2.b}) are not neighbours in order"
         )
-    dist = s1.hist is not None
-    return ScanSummary(
-        a=s1.a,
-        b=s2.b,
-        thresholds=s1.thresholds,
-        mode=s1.mode,
-        range_point=s1.range_point,
-        eligible=s1.eligible + s2.eligible,
-        hist=s1.hist + s2.hist if dist else None,
+    return replace(
+        s1, b=s2.b, eligible=s1.eligible + s2.eligible,
+        hist=s1.hist + s2.hist if s1.hist is not None else None,
         exceed={c: s1.exceed[c] + s2.exceed[c] for c in s1.thresholds},
-        sum_gap_fp=s1.sum_gap_fp + s2.sum_gap_fp if dist else None,
-        sum_gap_sq_fp=s1.sum_gap_sq_fp + s2.sum_gap_sq_fp if dist else None,
     )
 
 

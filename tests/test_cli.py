@@ -110,6 +110,16 @@ def test_count_extreme_c_prints_strict_json_or_refuses(monkeypatch, c, want_rc):
     assert doc["per_k"][0]["tuple_ref"] == 1
 
 
+@pytest.mark.parametrize("c", ["1e-300", "1e-77", "5e-324"])
+def test_density_extreme_c_prints_strict_json(c):
+    # the terms 1 / (c^k k!) of the partial sums overflow: a non-finite
+    # partial sum renders null
+    rc, text = run_cli("density", "--min", "16", "--max", "1000", "--c", c)
+    assert rc == 0
+    (row,) = json.loads(text, parse_constant=_no_constant)["rows"]
+    assert row["partial_sums"][0] == 1 and None in row["partial_sums"]
+
+
 @pytest.mark.parametrize("argv", [
     ("scan", "--min", "16", "--max", "100", "--c", "1"),
     ("count", "--x", "30", "--c", "1"),
@@ -239,7 +249,7 @@ def test_scan_single_chunk_starts_no_pool(monkeypatch):
 def zero_summary(lo, hi, thresholds, mode, range_point):
     thr = tuple(sorted(set(thresholds)))
     hist = np.zeros(HIST_BINS + 2, dtype=np.int64)
-    return ScanSummary(lo, hi, thr, mode, range_point, 0, hist, dict.fromkeys(thr, 0), 0, 0)
+    return ScanSummary(lo, hi, thr, mode, range_point, 0, hist, dict.fromkeys(thr, 0))
 
 
 def fake_pool(monkeypatch, started, run=True):
@@ -345,12 +355,12 @@ def test_scan_csv_shape():
 
 @pytest.mark.parametrize("lo,hi", [(16, 19), (30, 31)])  # one eligible n each
 def test_scan_variance_never_negative(lo, hi):
-    # the moment sums round gap and gap**2 apart, so E[g^2] - E[g]^2 can dip below 0
+    # var_t is taken about the mean in a second pass, so one n gives exactly 0
     argv = ("scan", "--min", str(lo), "--max", str(hi), "--c", "1")
     rc, text = run_cli(*argv)
-    assert rc == 0 and json.loads(text)["var_f"] == 0
+    assert rc == 0 and json.loads(text)["law"]["var_t"] == 0
     rc, text = run_cli(*argv, "--format", "csv")
-    assert rc == 0 and "# var_f=0\n" in text
+    assert rc == 0 and "# var_t=0\n" in text
 
 
 def test_scan_out_file(tmp_path):
@@ -519,7 +529,7 @@ def test_density_pinned_to_scan_counts_without_histogram(monkeypatch):
     one = next(row for row in doc["rows"] if row["c"] == 1)
     assert one["empirical_per_range"] == 679_873 / 921_259
     assert [s.mode for s in summaries] == [MODE_PER_N, MODE_PER_RANGE]
-    assert all(s.hist is None and s.sum_gap_fp is None for s in summaries)
+    assert all(s.hist is None for s in summaries)
 
 
 def test_density_csv():
@@ -603,10 +613,10 @@ def test_verify_negative_control(monkeypatch):
 # sha256 prefixes of stdout; a change that alters output on purpose updates
 # them and says so in CHANGES.md
 STDOUT_DIGESTS = {
-    "scan --min 16 --max 300000 --c 0.5,1,2": "7d9499c2620135f4",
-    "scan --min 16 --max 300000 --c 0.5,1,2 --mode range --format csv": "ddf93d3808eb1c29",
+    "scan --min 16 --max 300000 --c 0.5,1,2": "11d4e0eb6fd47be2",
+    "scan --min 16 --max 300000 --c 0.5,1,2 --mode range --format csv": "79f435a43e9a842b",
     "scan --min 2147400000 --max 2147600000 --c 0.5,1,2 --segment-size 65536":
-        "9a42189b0d731ce6",
+        "3f6acc670d72452a",
     "density --min 16 --max 300000 --c 0.25,0.5,1,2,4": "9a02f2198f7cc873",
     "density --min 16 --max 300000 --c 0.25,0.5,1,2,4 --mode range --format csv":
         "3718bcd5bbf056e1",

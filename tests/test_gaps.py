@@ -22,7 +22,6 @@ from factorgaps import boundary, counting, oracle
 from factorgaps.gaps import (
     MODE_PER_N,
     MODE_PER_RANGE,
-    MOMENT_SCALE,
     _finish_blocks,
     _sieve_segment,
     _sieving_primes,
@@ -38,8 +37,6 @@ def summaries_equal(a, b):
         and a.eligible == b.eligible
         and np.array_equal(a.hist, b.hist)
         and a.exceed == b.exceed
-        and a.sum_gap_fp == b.sum_gap_fp
-        and a.sum_gap_sq_fp == b.sum_gap_sq_fp
     )
 
 
@@ -173,6 +170,28 @@ def test_sieve_segment_edge_windows(lo, hi):
     check_sieve_segment(lo, hi, TABLE_5E4)
 
 
+TABLE_107E4 = build_prime_table(1_070_000)  # reaches sqrt(1031**2 * 1033**2 + 40)
+
+
+@pytest.mark.parametrize("size", [None, 1000, 1])
+@pytest.mark.parametrize(
+    "n,half",
+    [
+        (1031**3, 1500),  # a cube of a prime with p * p > size
+        (1031**2 * 1033**2, 40),  # two such squares on one n, in one multiply.at
+    ],
+)
+def test_sieve_segment_large_prime_powers(n, half, size):
+    # p**k (k >= 2) of primes with p * p > the workspace length take the
+    # vectorized pass; at size 1 every prime does, 2 included
+    half = 8 if size == 1 else half  # each one-integer segment loops over every prime
+    lo, hi = n - half, n + half
+    ws = _Workspace(size or hi - lo)
+    for s in range(lo, hi, ws.size):
+        e = min(s + ws.size, hi)
+        check_sieve_segment(s, e, TABLE_107E4, sieve_fresh(s, e, TABLE_107E4, ws))
+
+
 WINDOWS = st.one_of(
     st.tuples(st.integers(1, 150), st.integers(1, 18)),  # root < 13
     st.tuples(st.integers(1, 10**6), st.integers(1, 400)),
@@ -256,24 +275,16 @@ HIST_2_31 = {
     232: 16, 233: 14, 234: 32, 235: 45, 236: 43, 237: 59, 240: 1, 242: 1,
     243: 6, 244: 12, 245: 79, 246: 91,
 }
-# (eligible, hist, exceed, sum_gap_fp, sum_gap_sq_fp), frozen from the
-# kernel that compacted eligible n before its post-pass
+# (eligible, hist, exceed), frozen from the kernel that compacted
+# eligible n before its post-pass
 PINNED_WINDOWS = {
-    (16, 4096, MODE_PER_N): (
-        3486, HIST_16_4096, {0.5: 3481, 1.0: 2781, 2.0: 1267},
-        289_173_521_091_835, 434_435_689_845_074,
-    ),
-    (16, 4096, MODE_PER_RANGE): (
-        3486, HIST_16_4096, {0.5: 3469, 1.0: 2699, 2.0: 1162},
-        289_173_521_091_835, 434_435_689_845_074,
-    ),
+    (16, 4096, MODE_PER_N): (3486, HIST_16_4096, {0.5: 3481, 1.0: 2781, 2.0: 1267}),
+    (16, 4096, MODE_PER_RANGE): (3486, HIST_16_4096, {0.5: 3469, 1.0: 2699, 2.0: 1162}),
     (2**31 - 2000, 2**31 + 2000, MODE_PER_N): (
         3809, HIST_2_31, {0.5: 3678, 1.0: 2795, 2.0: 1344},
-        424_918_280_866_801, 834_568_322_313_253,
     ),
     (2**31 - 2000, 2**31 + 2000, MODE_PER_RANGE): (
         3809, HIST_2_31, {0.5: 3678, 1.0: 2795, 2.0: 1344},
-        424_918_280_866_801, 834_568_322_313_253,
     ),
 }
 
@@ -294,13 +305,12 @@ def test_pinned_prime_dense_windows(a, b, segment_size, mode):
     s = scan_range(
         a, b, [0.5, 1.0, 2.0], TABLE_5E4, mode=mode, segment_size=segment_size
     )
-    eligible, slots, exceed, sum_fp, sum_sq_fp = PINNED_WINDOWS[a, b, mode]
+    eligible, slots, exceed = PINNED_WINDOWS[a, b, mode]
     hist = np.zeros(402, dtype=np.int64)
     hist[list(slots)] = list(slots.values())
     assert s.eligible == eligible
     assert np.array_equal(s.hist, hist)
     assert s.exceed == exceed
-    assert (s.sum_gap_fp, s.sum_gap_sq_fp) == (sum_fp, sum_sq_fp)
 
 
 def test_pinned_moments_near_1e8(table_small):
@@ -308,8 +318,9 @@ def test_pinned_moments_near_1e8(table_small):
     s = scan_range(10**8 - 2**20, 10**8, [0.5, 1.0, 2.0], table_small)
     assert s.eligible == 991_620
     assert s.exceed == {0.5: 960_035, 1.0: 723_604, 2.0: 351_411}
-    assert s.sum_gap_fp == 107_275_703_997_509_200
-    assert s.sum_gap_sq_fp == 205_567_395_853_804_573
+    # frozen when the law replaced the gap moments; read off the histogram
+    assert (s.mean_t, s.var_t) == (0.5045415582582043, 0.5371664948189672)
+    assert s.ks == (0.14505871790990985, -10.0 + 194 * 0.05)
 
 
 # ---------------------------------------------------------------- scans
@@ -347,8 +358,6 @@ def test_scan_matches_profile_path(table_small):
     hist = np.zeros(402, dtype=np.int64)
     exceed = {0.5: 0, 1.0: 0, 2.0: 0}
     eligible = 0
-    sum_fp = 0
-    sum_sq_fp = 0
     for n in range(a, b):
         pr = gap_profile(oracle.naive_factorize(n))
         if pr.omega < 2:
@@ -361,13 +370,9 @@ def test_scan_matches_profile_path(table_small):
         for c in exceed:
             if pr.ratio > c * lnln:
                 exceed[c] += 1
-        sum_fp += round(pr.gap * MOMENT_SCALE)
-        sum_sq_fp += round(pr.gap * pr.gap * MOMENT_SCALE)
     assert s.eligible == eligible
     assert np.array_equal(s.hist, hist)
     assert s.exceed == exceed
-    assert s.sum_gap_fp == sum_fp
-    assert s.sum_gap_sq_fp == sum_sq_fp
 
 
 def test_scan_deterministic_and_segment_independent(table_small):
@@ -471,17 +476,35 @@ def test_scan_validates_arguments(table_small):
         scan_range(2**53 - 10, 2**53 + 1, [1.0], table_small)
 
 
-def test_scan_moments_match_floats(table_small):
+def test_scan_law_matches_binned_profiles(table_small):
+    # each eligible n binned on its own and put at its bin's midpoint; the
+    # summary sums per bin instead, so the two agree to a few ulps
     s = scan_range(16, 20_000, [1.0], table_small)
-    gaps = []
+    mids = []
     for n in range(16, 20_000):
-        pr = gap_profile(oracle.naive_factorize(n))
+        pr = gap_profile(factorize(n, table_small))
         if pr.omega >= 2:
-            gaps.append(pr.gap)
-    assert s.mean_gap == pytest.approx(sum(gaps) / len(gaps), abs=1e-9)
-    mean = sum(gaps) / len(gaps)
-    var = sum(g * g for g in gaps) / len(gaps) - mean * mean
-    assert s.var_gap == pytest.approx(var, abs=1e-9)
+            i = math.floor((pr.gap - math.log(math.log(math.log(n))) + 10.0) * 20.0)
+            mids.append(-10.0 + (i + 0.5) * 0.05)
+    mean = math.fsum(mids) / len(mids)
+    var = math.fsum((m - mean) ** 2 for m in mids) / len(mids)
+    assert s.mean_t == pytest.approx(mean, rel=1e-14)
+    assert s.var_t == pytest.approx(var, rel=1e-13)
+
+
+def test_law_of_a_hand_built_histogram(table_small):
+    # 1 n in [-0.05, 0), 3 in [1, 1.05): mean 0.7625, variance 3/16 * 1.05**2
+    s = scan_range(16, 17, [1.0], table_small)
+    s.hist = np.zeros(402, dtype=np.int64)
+    s.hist[1 + 199], s.hist[1 + 220] = 1, 3
+    s.eligible = 4
+    assert s.mean_t == pytest.approx(0.7625, rel=1e-15)
+    assert s.var_t == pytest.approx(3 / 16 * 1.05**2, rel=1e-14)
+    # binned CDF at edge u: 0 up to -0.05, 1/4 on [0, 1], 1 from 1.05
+    edges = [-10.0 + i * 0.05 for i in range(401)]
+    cdf = [0.0] * 200 + [0.25] * 21 + [1.0] * 180
+    dist = [abs(f - math.exp(-math.exp(-u))) for f, u in zip(cdf, edges)]
+    assert s.ks == (max(dist), edges[220])  # at u = 1, F = 1/4 against Gumbel's 0.69
 
 
 # ---------------------------------------------------------------- exceedance-only scans
@@ -511,7 +534,7 @@ def test_exceedance_only_scan_equals_full_scan(a, length, segment_size, mode, th
     only = scan_range(a, b, thresholds, TABLE_5E4, **kw, distribution=False)
     assert exceedances_equal(only, full)
     assert only.range_point == full.range_point
-    assert (only.hist, only.sum_gap_fp, only.sum_gap_sq_fp) == (None, None, None)
+    assert only.hist is None
 
 
 def test_exceedance_only_per_range_bound_below_zero(table_small):
@@ -538,7 +561,7 @@ def test_exceedance_only_merge_law(table_small, b, cut_seeds, segment_size, mode
     merged = functools.reduce(merge_summaries, parts)  # folded from the first part
     assert exceedances_equal(merged, direct)
     assert merged.config() == direct.config()
-    assert (merged.hist, merged.sum_gap_fp, merged.sum_gap_sq_fp) == (None, None, None)
+    assert merged.hist is None
 
 
 def test_exceedance_only_summary_refuses_moments_and_mixing(table_small):
@@ -548,10 +571,9 @@ def test_exceedance_only_summary_refuses_moments_and_mixing(table_small):
     for s1, s2 in ((full, only), (only, full)):
         with pytest.raises(ValueError):
             merge_summaries(s1, s2)
-    with pytest.raises(ValueError):
-        only.mean_gap
-    with pytest.raises(ValueError):
-        only.var_gap
+    for law in ("mean_t", "var_t", "ks"):
+        with pytest.raises(ValueError):
+            getattr(only, law)
     after = scan_range(2_000, 3_000, [1.0], table_small, distribution=False)
     both = scan_range(1_000, 3_000, [1.0], table_small, distribution=False)
     assert exceedances_equal(merge_summaries(only, after), both)
@@ -664,7 +686,5 @@ def test_pinned_density_at_1e6(table_small):
     assert s.total == 999_984
     assert s.eligible == 921_259
     assert s.exceed == {0.5: 898_633, 1.0: 695_369, 2.0: 331_203}
-    assert s.sum_gap_fp == 91_500_983_392_425_698
-    assert s.sum_gap_sq_fp == 162_304_616_708_663_347
     r = scan_range(16, 10**6, [1.0], table_small, mode=MODE_PER_RANGE)
     assert r.exceed == {1.0: 679_873}
