@@ -33,7 +33,10 @@ _GUMBEL = np.array([math.exp(-math.exp(-u)) for u in _EDGES])  # libm, not numpy
 _MIDS = HIST_LO + (np.arange(HIST_BINS) + 0.5) * HIST_WIDTH
 
 MAX_SEGMENT_SIZE = 1 << 22  # bounds the workspace: 24 B per integer, 96 MiB
-DEFAULT_SEGMENT_SIZE = 1 << 20
+DEFAULT_SEGMENT_SIZE = 1 << 18  # a 7.5 MiB workspace; 2**17 scans slower, 2**19 no faster
+# primes above min(PASS_FLOOR, segment length) take one vectorized pass;
+# PASS_FLOOR**2 > MAX_SEGMENT_SIZE, so p**2 of such a p strikes a segment at most once
+PASS_FLOOR = 1 << 14
 POST_BLOCK = 1 << 15  # integers per post-pass block; results do not depend on it
 TINY = np.finfo(float).tiny  # the post-pass floors ratio 0 to this: log is -708, not -inf
 
@@ -139,15 +142,16 @@ class ScanSummary:
         return (self.thresholds, self.mode, self.range_point, self.hist is not None)
 
 
-def _sieving_primes(table: PrimeTable, b: int) -> tuple[list[int], list[float]]:
-    """The primes up to sqrt(b - 1) and their logs, for sieving below b."""
+def _sieving_primes(table: PrimeTable, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes up to sqrt(b - 1) and their logs, for sieving below b, as
+    arrays; the logs come from math.log, as in gap_profile."""
     root = isqrt(b - 1)
     if table.limit < root:
         raise InsufficientTableError(
             f"table limit {table.limit} < required sqrt bound {root}"
         )
-    primes = [int(p) for p in table.primes[table.primes <= root]]
-    return primes, [math.log(p) for p in primes]
+    primes = table.primes[: np.searchsorted(table.primes, root, "right")]
+    return primes, np.fromiter(map(math.log, primes.astype(float)), float, primes.size)
 
 
 PRESIEVE_PRIMES = (2, 3, 5, 7, 11, 13)  # their product is 30030
@@ -184,7 +188,10 @@ class _Workspace:
     float64 per integer (n < 2**53, so prod, a divisor of n, is exact); a
     ceil(size/17) scratch for the strided loop, where only primes >= 17
     strike; and post-pass block buffers, with the ramp 0, 1, ... that n is
-    built from. Untouched pages are never faulted."""
+    built from: 7.5 MiB at the default 2**18 integers, 25.8 MiB at 2**20.
+    The large-prime pass writes its updates here too; only its offsets
+    (one per prime it takes) and hits (about 0.6 per integer at 1e15) are
+    made per segment. Untouched pages are never faulted."""
 
     def __init__(self, size: int):
         self.size = size
@@ -205,35 +212,39 @@ def _scan_workspace(size: int) -> _Workspace:
     return _Workspace(size)
 
 
-def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
+def _sieve_segment(lo, hi, primes, logs, ws):
     """Segmented sieve of [lo, hi) by the primes up to sqrt(hi - 1).
 
     Leaves in ``ws``, for :func:`_finish_blocks`: prod, the product of
     every sieved prime power dividing n; last_log, the log of the largest
     sieved prime factor (+inf if none); and max_ratio, the largest ratio of
-    logs of consecutive distinct sieved prime factors. Primes go in
-    increasing order, so each integer sees its factors ascending and the
-    running maximum needs only the previous factor's log; last_log starts
-    at +inf so a first factor's update (lp / inf = 0) is a no-op. The first
-    powers of PRESIEVE_PRIMES come from a tiled pattern. A large prime
-    (p * p > ws.size) strikes a segment at most once per power p**k, k >= 2,
-    so each k takes one vectorized pass over the large primes that strike
-    it (Oliveira e Silva et al., 2014); products are exact below 2**53, in
+    logs of consecutive distinct sieved prime factors. Each integer sees its
+    factors ascending, so the running maximum needs only the previous
+    factor's log; last_log starts at +inf so a first factor's update
+    (lp / inf = 0) is a no-op. The first powers of PRESIEVE_PRIMES come
+    from a tiled pattern, those of the primes up to min(PASS_FLOOR, hi - lo)
+    from a strided loop in increasing order, and those of the larger primes
+    from :func:`_large_prime_pass`, which makes the loop's cost per segment
+    independent of pi(sqrt(hi)). A prime of the pass, or of the loop with
+    p * p > ws.size, strikes a segment at most once per power p**k, k >= 2,
+    so each k takes one vectorized pass over those primes that strike it
+    (Oliveira e Silva et al., 2014); products are exact below 2**53, in
     any order."""
     seglen = hi - lo
     if seglen > ws.size:
         raise ValueError(f"[{lo}, {hi}) does not fit the workspace")
     prod, last_log, max_ratio = (a[:seglen] for a in (ws.prod, ws.last_log, ws.max_ratio))
     root = isqrt(hi - 1)
+    end = int(np.searchsorted(primes, root, "right"))
     k = sum(p <= root for p in PRESIEVE_PRIMES)
-    pattern = _presieve_pattern(tuple(small_primes[:k]), tuple(prime_logs[:k]))
+    cut = min(max(k, int(np.searchsorted(primes, min(PASS_FLOOR, seglen), "right"))), end)
+    looped, looped_logs = primes[:cut].tolist(), logs[:cut].tolist()
+    pattern = _presieve_pattern(tuple(looped[:k]), tuple(looped_logs[:k]))
     off = lo % pattern[0].size
     for out, period in zip((prod, last_log, max_ratio), pattern):
         _tile(out, period, off)
     large = []  # only a prime that strikes the segment can strike it with p**k
-    for p, lp in zip(small_primes, prime_logs):
-        if p > root:
-            break
+    for p, lp in zip(looped, looped_logs):
         start = (-lo) % p
         if start >= seglen:
             continue
@@ -255,7 +266,8 @@ def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
                 break
             prod[start_d::d] *= p
             d *= p
-    big = np.array(large, dtype=np.int64)
+    struck = _large_prime_pass(lo, primes[cut:end], logs[cut:end], prod, last_log, max_ratio)
+    big = np.concatenate((np.array(large, dtype=np.int64), struck))
     d = big * big
     while big.size:
         start = (-lo) % d
@@ -264,6 +276,38 @@ def _sieve_segment(lo, hi, small_primes, prime_logs, ws):
         # p**(k+1) strikes only where p**k does; d * p <= hi - 1 without overflow
         keep = hit & (d <= (hi - 1) // big)
         big, d = big[keep], d[keep] * big[keep]
+
+
+def _large_prime_pass(lo, primes, logs, prod, last_log, max_ratio):
+    """The first powers of ``primes`` (ascending, all above the loop's) on
+    the segment of prod, last_log and max_ratio starting at ``lo``, in one
+    vectorized pass; returns the primes that strike it. Every hit i * p is
+    listed, then ordered by (position, prime), so the integers see these
+    factors ascending after the loop's: a hit's previous log is that of the
+    hit before it at the same position, or else the loop's last_log. The
+    ratios and products are the loop's own float operations, so the result
+    is bit for bit the loop's."""
+    seglen = prod.size
+    start = (-lo) % primes
+    hit = start < seglen
+    primes, logs, start = primes[hit], logs[hit], start[hit]
+    if not primes.size:
+        return primes
+    count = (seglen - 1 - start) // primes + 1
+    which = np.repeat(np.arange(primes.size), count)  # hits prime by prime
+    step = np.arange(which.size) - np.repeat(np.cumsum(count) - count, count)
+    # one sort key per hit, position major: hits are distinct (position, prime)
+    key = np.sort((start[which] + primes[which] * step) * primes.size + which)
+    pos, which = np.divmod(key, primes.size)
+    lp = logs[which]
+    first = np.flatnonzero(np.diff(pos, prepend=-1))  # each position's first hit
+    at = pos[first]
+    prev = np.roll(lp, 1)
+    prev[first] = last_log[at]
+    max_ratio[at] = np.maximum(max_ratio[at], np.maximum.reduceat(lp / prev, first))
+    last_log[at] = lp[np.append(first[1:], lp.size) - 1]
+    prod[at] *= np.multiply.reduceat(primes[which], first)
+    return primes
 
 
 def _finish_blocks(lo, hi, ws):
@@ -290,11 +334,11 @@ def _walk(a, b, table, segment_size):
     buffers), the block's first integer, n, the cofactor, max_ratio and
     last_log. Not re-entrant: every walk in a process sieves into the one
     workspace of :func:`_scan_workspace`, which the next block overwrites."""
-    small_primes, prime_logs = _sieving_primes(table, b)
+    primes, logs = _sieving_primes(table, b)
     ws = _scan_workspace(min(segment_size, b - a))
     for lo in range(a, b, segment_size):
         hi = min(lo + segment_size, b)
-        _sieve_segment(lo, hi, small_primes, prime_logs, ws)
+        _sieve_segment(lo, hi, primes, logs, ws)
         for sl, n, cof, ratio in _finish_blocks(lo, hi, ws):
             yield ws, lo + sl.start, n, cof, ratio, ws.last_log[sl]
 

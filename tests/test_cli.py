@@ -234,7 +234,8 @@ def test_scan_worker_determinism():
 
 
 def test_scan_single_chunk_starts_no_pool(monkeypatch):
-    args = ("scan", "--min", "16", "--max", "300000", "--c", "1")
+    # [16, 16 + one default segment) is a single chunk for any worker count
+    args = ("scan", "--min", "16", "--max", str(16 + DEFAULT_SEGMENT_SIZE), "--c", "1")
     rc1, a = run_cli(*args, "--workers", "1")
 
     def no_pool(*_args, **_kwargs):

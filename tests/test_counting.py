@@ -225,8 +225,7 @@ def test_direct_counts_independent_of_segment_length(table_small, monkeypatch, x
 def test_direct_counts_past_one_segment_match_the_scan(table_small):
     # [1, x] spans two default segments; gap-form n are those the
     # per-range scan at x does not count, as verify's scan-count check has it
-    x, c = 2**20 + 2**14, 1.0
-    assert x > counting.DEFAULT_SEGMENT_SIZE
+    x, c = counting.DEFAULT_SEGMENT_SIZE + 2**14, 1.0
     pars = make_params(x, c)
     d = direct_counts(pars, table_small)
     s = scan_range(16, x + 1, (c,), table_small, MODE_PER_RANGE, range_point=x,

@@ -105,14 +105,14 @@ def test_profile_vs_oracle_sample(table_small):
 # ---------------------------------------------------------------- kernel
 
 
-def sieve_fresh(lo, hi, table, ws=None):
+def sieve_fresh(lo, hi, table, ws=None, sieving=None):
     """_sieve_segment then _finish_blocks on [lo, hi), in a workspace of
     its own unless given: the cofactor, last_log and max_ratio, copied out
-    of the workspace. Every table prime is passed, as scan_range passes
-    primes up to the root of its whole range; the kernel must stop at this
-    window's root."""
+    of the workspace. Every table prime is passed (``sieving``, made from
+    ``table`` unless given), as scan_range passes primes up to the root of
+    its whole range; the kernel must stop at this window's root."""
     ws = ws or _Workspace(hi - lo)
-    sieving = _sieving_primes(table, table.limit**2 + 1)
+    sieving = sieving or _sieving_primes(table, table.limit**2 + 1)
     _sieve_segment(lo, hi, *sieving, ws)
     blocks = [(sl, n.copy(), cof.copy()) for sl, n, cof, _ in _finish_blocks(lo, hi, ws)]
     assert [sl.start for sl, _, _ in blocks] == list(range(0, hi - lo, ws.block))
@@ -192,6 +192,69 @@ def test_sieve_segment_large_prime_powers(n, half, size):
         check_sieve_segment(s, e, TABLE_107E4, sieve_fresh(s, e, TABLE_107E4, ws))
 
 
+def sieve_in_segments(lo, hi, table, size, sieving):
+    """sieve_fresh over [lo, hi) in segments of ``size`` through one
+    workspace, the parts joined."""
+    ws = _Workspace(size)
+    parts = [sieve_fresh(s, min(s + size, hi), table, ws, sieving) for s in range(lo, hi, size)]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def check_pass_window(lo, hi, table, sieving, sizes):
+    """The whole window against factorization, and every segmentation of
+    it (the same root throughout) bit for bit against the whole window."""
+    assert math.isqrt(lo) == math.isqrt(hi - 1)
+    whole = sieve_fresh(lo, hi, table, sieving=sieving)
+    check_sieve_segment(lo, hi, table, whole)
+    for size in sizes:
+        got = sieve_in_segments(lo, hi, table, size, sieving)
+        assert all(np.array_equal(a, b) for a, b in zip(got, whole)), size
+
+
+@pytest.mark.parametrize("lo", [10**12 + 10**6, 1_144_000_000_000])
+def test_large_prime_pass_near_1e12(lo):
+    # primes above min(PASS_FLOOR, segment length) up to 1.07e6 take the
+    # pass; one n often holds two or three of them
+    sieving = _sieving_primes(TABLE_107E4, TABLE_107E4.limit**2 + 1)
+    check_pass_window(lo, lo + 128, TABLE_107E4, sieving, sizes=(1, 37))
+
+
+@pytest.fixture(scope="module")
+def table_32e6():
+    table = build_prime_table(32_000_000)  # reaches sqrt(1.024e15)
+    return table, _sieving_primes(table, table.limit**2 + 1)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        ((100_000, 1), (100_020, 1), (100_040, 1)),  # three distinct primes above 2**14
+        ((31_000_000, 1), (32_000_000 - 1000, 1)),  # two near the root
+        ((16_400, 2), (3_700_000, 1)),  # p**2 of a prime above 2**14
+        ((16_400, 3), (220, 1)),  # p**3 of a prime above 2**14
+    ],
+)
+def test_large_prime_pass_near_1e15(table_32e6, factors):
+    # n is the product of the first primes above each base, raised to its
+    # exponent; the window holds n and its 3 neighbours
+    table, sieving = table_32e6
+    n = math.prod(int(table.primes[np.searchsorted(table.primes, b)]) ** e for b, e in factors)
+    assert 9 * 10**14 < n < 1_024 * 10**12
+    check_pass_window(n - 2, n + 2, table, sieving, sizes=(1, 3))
+
+
+@pytest.mark.parametrize("floor", [64, 300])
+@pytest.mark.parametrize("lo,hi", [(10**6, 10**6 + 3000), (2**31 - 2000, 2**31 + 2000)])
+def test_large_prime_pass_equals_the_loop(monkeypatch, floor, lo, hi):
+    # with PASS_FLOOR lowered (still floor**2 > hi - lo), primes above it
+    # that strike a segment many times take the pass too; prod, last_log
+    # and max_ratio stay the loop's, which the edge windows check
+    want = sieve_fresh(lo, hi, TABLE_5E4)
+    monkeypatch.setattr(gaps_module, "PASS_FLOOR", floor)
+    got = sieve_fresh(lo, hi, TABLE_5E4)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 WINDOWS = st.one_of(
     st.tuples(st.integers(1, 150), st.integers(1, 18)),  # root < 13
     st.tuples(st.integers(1, 10**6), st.integers(1, 400)),
@@ -248,11 +311,23 @@ def test_post_pass_block_length_changes_nothing(monkeypatch, table_small, block)
     check_sieve_segment(10**6 - 13, 10**6 + 200, TABLE_5E4)  # blocks of this length
 
 
+def workspace_bytes(size):
+    ws = _Workspace(size)
+    return sum(a.nbytes for a in vars(ws).values() if isinstance(a, np.ndarray))
+
+
 def test_workspace_footprint():
     # per integer: prod, last_log and max_ratio, all float64
-    ws = _Workspace(2**20)
-    arrays = [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) <= 26 * 2**20
+    assert workspace_bytes(2**20) <= 26 * 2**20
+
+
+def test_default_workspace_footprint():
+    # 24 B per integer plus the loop's scratch and the post-pass block
+    # buffers, ramp and masks, which do not grow with the segment
+    size = gaps_module.DEFAULT_SEGMENT_SIZE
+    block = min(gaps_module.POST_BLOCK, size)
+    assert workspace_bytes(size) <= 24 * size + 8 * -(-size // 17) + 43 * block
+    assert workspace_bytes(size) <= 8 * 2**20
 
 
 HIST_16_4096 = {
