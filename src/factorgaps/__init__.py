@@ -9,6 +9,12 @@ and the exact inclusion-exclusion counts that explain why the share of
 integers with e^gap(n) > c ln ln n tends to 1 - e^(-1/c).
 """
 
+import os
+
+# factorgaps makes no BLAS call; without this, OpenBLAS starts a thread pool
+# when numpy loads that spins for ~0.1 s of CPU. A value already set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .sieve import (
     Factorization,
     InsufficientTableError,

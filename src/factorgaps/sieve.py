@@ -79,29 +79,26 @@ def build_prime_table(limit: int) -> PrimeTable:
 def factorize(n: int, table: PrimeTable) -> Factorization:
     """Factor n by trial division over the table's primes.
 
-    Requires ``table.limit**2 >= n`` so that after dividing out every
-    table prime <= sqrt(n) an untouched cofactor > 1 is itself prime.
+    Requires ``1 <= n < 2**63`` and ``table.limit**2 >= n``, so that after
+    dividing out every table prime <= sqrt(n) a cofactor > 1 is itself
+    prime. One int64 remainder over the primes up to sqrt(n) finds the
+    primes that divide n; only those are divided out, in Python ints.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= n < 2**63:
+        raise ValueError(f"n must be in [1, 2**63), got {n}")
     if table.limit * table.limit < n:
         raise InsufficientTableError(
             f"table limit {table.limit} cannot certify factors of {n}"
         )
+    primes = table.primes[: np.searchsorted(table.primes, isqrt(n), side="right")]
     factors = []
     rem = n
-    root = isqrt(n)
-    for p in table.primes:
-        p = int(p)
-        if p > root:
-            break
-        if rem % p == 0:
-            e = 0
-            while rem % p == 0:
-                rem //= p
-                e += 1
-            factors.append((p, e))
-            root = isqrt(rem)
+    for p in primes[n % primes == 0].tolist():
+        e = 0
+        while rem % p == 0:
+            rem //= p
+            e += 1
+        factors.append((p, e))
     if rem > 1:
         factors.append((rem, 1))
     return Factorization(n=n, factors=tuple(factors))

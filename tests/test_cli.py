@@ -335,6 +335,29 @@ def test_cli_import_loads_no_mpmath_or_multiprocessing():
     assert res.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("given,want", [(None, "1"), ("3", "3")])
+def test_import_pins_openblas_unless_set(given, want):
+    # factorgaps makes no BLAS call, so importing it (and numpy through it)
+    # starts no OpenBLAS pool thread; a value the caller set is kept
+    code = (
+        "import os, factorgaps; "
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    threads, value = res.stdout.split()
+    assert value == want
+    if given is None:
+        assert threads == "1"
+
+
 def test_export_list_resolves():
     import factorgaps
 

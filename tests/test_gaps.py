@@ -243,6 +243,29 @@ def test_large_prime_pass_near_1e15(table_32e6, factors):
     check_pass_window(n - 2, n + 2, table, sieving, sizes=(1, 3))
 
 
+@pytest.mark.parametrize(
+    "n,factors",
+    [
+        (10**15 + 37, ((10**15 + 37, 1),)),
+        (31_000_003 * 31_999_007, ((31_000_003, 1), (31_999_007, 1))),
+        (999_999_999_999_989, ((999_999_999_999_989, 1),)),
+        (2**48 * 3, ((2, 48), (3, 1))),
+    ],
+)
+def test_factorize_near_1e15(table_32e6, n, factors):
+    assert factorize(n, table_32e6[0]).factors == factors
+
+
+@settings(max_examples=50, deadline=None)
+@given(lo=st.integers(10**12, 10**15 - 64), length=st.integers(1, 32))
+@example(lo=10**15 - 64, length=32)
+def test_sieve_segment_matches_factorization_far(table_32e6, lo, length):
+    # test_sieve_segment_matches_factorization at far windows, where most
+    # sieving primes take the large-prime pass
+    table, sieving = table_32e6
+    check_sieve_segment(lo, lo + length, table, sieve_fresh(lo, lo + length, table, sieving=sieving))
+
+
 @pytest.mark.parametrize("floor", [64, 300])
 @pytest.mark.parametrize("lo,hi", [(10**6, 10**6 + 3000), (2**31 - 2000, 2**31 + 2000)])
 def test_large_prime_pass_equals_the_loop(monkeypatch, floor, lo, hi):

@@ -91,6 +91,16 @@ def test_factorize_insufficient_table():
         factorize(10**9, small)
 
 
+@pytest.mark.parametrize(
+    "n,error", [(0, ValueError), (2**63, ValueError), (2**63 - 1, InsufficientTableError)]
+)
+def test_factorize_refuses_n_outside_int64(table_small, n, error):
+    # the int64 remainder over the table needs n < 2**63; a table reaching
+    # sqrt(2**63) would hold over 10**8 primes
+    with pytest.raises(error):
+        factorize(n, table_small)
+
+
 def test_factorization_conventions(table_small):
     one = factorize(1, table_small)
     assert one.factors == ()
