@@ -43,13 +43,11 @@ from .counting import (
     DirectCounts,
     LayerCount,
     WideSquarefree,
-    all_isolated,
     count_isolated_set,
     direct_counts,
     inclusion_exclusion,
     inner_counts,
     is_gap_form,
-    is_isolated,
     make_params,
     tuple_reciprocal_sum,
     wide_squarefree_set,
@@ -82,13 +80,11 @@ __all__ = [
     "DirectCounts",
     "LayerCount",
     "WideSquarefree",
-    "all_isolated",
     "count_isolated_set",
     "direct_counts",
     "inclusion_exclusion",
     "inner_counts",
     "is_gap_form",
-    "is_isolated",
     "make_params",
     "tuple_reciprocal_sum",
     "wide_squarefree_set",

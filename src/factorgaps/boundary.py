@@ -13,9 +13,14 @@ digits, so set membership agrees with the exact definition even when the
 double rounds the wrong way (mpmath is imported at the first such tie).
 Counts built on these predicates are exact integers, not "exact up to rounding".
 
-``force_extended()`` routes every comparison through mpmath; the
-verification suite uses it to confirm that the double fast path never
-disagrees with the slow exact path.
+:func:`le_power` and :func:`le_root` decide one pair; :func:`le_banded`
+an array, for every window (``sieve.primes_in_power_interval``) and the
+cutoff (``counting._small_primes``). ``counting.direct_counts`` masks
+its blocks against :func:`tie_band` in its own workspace.
+
+``force_extended()`` widens the band to every comparison, windows
+included; the verification suite uses it to confirm that the double
+fast path never disagrees with the slow exact path.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from functools import lru_cache
+from typing import Callable
+
+import numpy as np
 
 TIE_EPS = 1e-9
 EXTENDED_DPS = 40  # significant digits used to break ties
@@ -40,6 +48,26 @@ def force_extended():
         yield
     finally:
         _FORCE_EXTENDED = old
+
+
+def tie_band() -> float:
+    """The log band a float may not decide: TIE_EPS, or all under force_extended."""
+    return math.inf if _FORCE_EXTENDED else TIE_EPS
+
+
+def le_banded(lhs: np.ndarray, rhs: float, exact: Callable[[int], bool]) -> np.ndarray:
+    """The mask ``lhs <= rhs`` of an array of float logs; ``exact(i)``
+    re-decides each entry i within :func:`tie_band` of ``rhs``."""
+    keep = lhs <= rhs
+    for i in np.flatnonzero(np.abs(lhs - rhs) < tie_band()).tolist():
+        keep[i] = exact(i)
+    return keep
+
+
+def padded_exp(t: float) -> float:
+    """exp(t + 2 TIE_EPS), a search bound: an integer above it has a log
+    more than TIE_EPS past t, so a float comparison rules it out."""
+    return math.exp(t + 2.0 * TIE_EPS)
 
 
 def gap_exponent(x: int, c: float) -> float:
@@ -68,11 +96,9 @@ def _mp_exponent(x: int, c: float):
 
 def le_power(q: int, p: int, x: int, c: float) -> bool:
     """Decide q <= p**E with E = c * ln ln x, ties in extended precision."""
-    if not _FORCE_EXTENDED:
-        lhs = math.log(q)
-        rhs = gap_exponent(x, c) * math.log(p)
-        if abs(lhs - rhs) >= TIE_EPS:
-            return lhs <= rhs
+    lhs, rhs = math.log(q), gap_exponent(x, c) * math.log(p)
+    if abs(lhs - rhs) >= tie_band():
+        return lhs <= rhs
     from mpmath import mp
     with mp.workdps(EXTENDED_DPS):
         return mp.log(q) <= _mp_exponent(x, c) * mp.log(p)
@@ -86,24 +112,17 @@ def le_root(p: int, x: int, c: float) -> bool:
     """
     if p > x:
         return False
-    if not _FORCE_EXTENDED:
-        lhs = gap_exponent(x, c) * math.log(p)
-        rhs = math.log(x)
-        if abs(lhs - rhs) >= TIE_EPS:
-            return lhs <= rhs
+    lhs, rhs = gap_exponent(x, c) * math.log(p), math.log(x)
+    if abs(lhs - rhs) >= tie_band():
+        return lhs <= rhs
     from mpmath import mp
     with mp.workdps(EXTENDED_DPS):
         return _mp_exponent(x, c) * mp.log(p) <= mp.log(x)
 
 
 def power_search_bound(p: int, x: int, c: float) -> float:
-    """A float upper bound safely above p**E, for pre-cutting candidates.
-
-    Every prime q with ln q > E*ln p + TIE_EPS is certainly outside the
-    window, so candidates need only be enumerated up to this bound and
-    the few in the tie band re-checked with :func:`le_power`.
-    """
-    return math.exp(gap_exponent(x, c) * math.log(p) + 2.0 * TIE_EPS)
+    """A float upper bound safely above p**E, for pre-cutting candidates."""
+    return padded_exp(gap_exponent(x, c) * math.log(p))
 
 
 def root_search_bound(x: int, c: float) -> float:
@@ -111,4 +130,4 @@ def root_search_bound(x: int, c: float) -> float:
     e = gap_exponent(x, c)
     if e <= 1.0:
         return float(x)
-    return math.exp(math.log(x) / e + 2.0 * TIE_EPS)
+    return padded_exp(math.log(x) / e)

@@ -328,7 +328,7 @@ def cmd_count(cfg: RunConfig, stdout) -> int:
     table = build_prime_table(max(
         isqrt(x - 1) + 1,
         math.ceil(boundary.root_search_bound(x, c)),
-        math.ceil(math.exp(e / (e + 1) * math.log(x) + 2 * boundary.TIE_EPS)) + 1,
+        math.ceil(boundary.padded_exp(e / (e + 1) * math.log(x))) + 1,
     ))
     bd = inclusion_exclusion(pars, table)
     identity_ok = bd.n_inclusion_exclusion == bd.n_direct

@@ -68,23 +68,6 @@ def make_params(x: int, c: float) -> CountParams:
     )
 
 
-def is_isolated(fact: Factorization, p: int, pars: CountParams) -> bool:
-    """True iff the prime p divides n and no prime factor of n lies in
-    the window (p, p**E]. The largest prime factor is always isolated."""
-    if fact.n % p != 0:
-        return False
-    for q in fact.primes:
-        if q > p and boundary.le_power(q, p, pars.x, pars.c):
-            return False
-    return True
-
-
-def all_isolated(fact: Factorization, primes: Iterable[int], pars: CountParams) -> bool:
-    """True iff every prime of ``primes`` is isolated in n (vacuously
-    true for an empty collection, i.e. m = 1)."""
-    return all(is_isolated(fact, p, pars) for p in primes)
-
-
 def is_gap_form(fact: Factorization, pars: CountParams) -> bool:
     """True iff consecutive distinct prime factors never jump by more
     than an E-th power (vacuously true for omega <= 1)."""
@@ -117,14 +100,14 @@ def direct_counts(pars: CountParams, table: PrimeTable) -> DirectCounts:
     segment walk; N(x) is their difference.
 
     n is gap-form iff its largest log ratio (0 if omega <= 1) is <= E.
-    Ratios within TIE_EPS of E (every eligible n under
+    Ratios within :func:`boundary.tie_band` of E (every eligible n under
     :func:`boundary.force_extended`) are re-decided exactly from the
     factorization.
     """
     e = pars.gap_exp
     yprimes = _small_primes(pars, table)
     y = yprimes[-1] if yprimes else 1
-    tie_eps = math.inf if boundary._FORCE_EXTENDED else boundary.TIE_EPS
+    band = boundary.tie_band()
     n_gapform = n_smooth = 0
     for ws, start, _, cof, max_ratio, last_log in _walk(
         1, pars.x + 1, table, DEFAULT_SEGMENT_SIZE
@@ -133,7 +116,7 @@ def direct_counts(pars: CountParams, table: PrimeTable) -> DirectCounts:
         dist = ws.buf[: max_ratio.size]
         # max_ratio is 0 for omega <= 1, which is gap-form and never a tie
         np.less_equal(max_ratio, e, out=gapform)
-        np.less(np.abs(np.subtract(max_ratio, e, out=dist), out=dist), tie_eps, out=ties)
+        np.less(np.abs(np.subtract(max_ratio, e, out=dist), out=dist), band, out=ties)
         ties &= np.greater(max_ratio, 0, out=smooth)
         for j in np.flatnonzero(ties):
             gapform[j] = is_gap_form(factorize(start + int(j), table), pars)
@@ -176,39 +159,41 @@ def _small_primes(pars: CountParams, table: PrimeTable) -> list[int]:
             f"table limit {table.limit} below small-prime cutoff "
             f"{pars.small_prime_bound:.6g}"
         )
-    upper = boundary.root_search_bound(pars.x, pars.c)
-    cand = table.primes[table.primes <= upper]
-    return [int(p) for p in cand if boundary.le_root(int(p), pars.x, pars.c)]
+    cand = table.primes[table.primes <= boundary.root_search_bound(pars.x, pars.c)]
+    keep = boundary.le_banded(
+        pars.gap_exp * np.log(cand.astype(np.float64)),
+        math.log(pars.x),
+        lambda i: boundary.le_root(int(cand[i]), pars.x, pars.c),
+    )
+    return cand[keep].tolist()
 
 
 def wide_squarefree_set(pars: CountParams, table: PrimeTable) -> list[WideSquarefree]:
     """Enumerate every wide squarefree m <= x, sorted by (omega, m).
 
-    Depth-first extension: a chain ending at prime p may be extended by
-    any small prime q with q > p**E and chain product * q <= x. The gap
-    condition makes chains terminate after O(log x / log 2**E) steps.
+    Depth-first extension: a chain ending at p = yprimes[i] may be
+    extended by any small prime q > p**E, those from ends[i] on, just past
+    p's window, with chain product * q <= x; no q qualifies once p * p >= x.
+    The gap condition makes chains terminate after O(log x / log 2**E) steps.
     """
     yprimes = _small_primes(pars, table)
-    x, c = pars.x, pars.c
-    out = [WideSquarefree(m=1, primes=())]
+    x = pars.x
+    ends = [
+        i + 1 + len(primes_in_power_interval(p, x, pars.c, table, cap=yprimes[-1]))
+        if p * p < x else len(yprimes)
+        for i, p in enumerate(yprimes)
+    ]
+    out = []
 
     def extend(prod: int, chain: tuple[int, ...], start: int):
-        last = chain[-1]
+        out.append(WideSquarefree(m=prod, primes=chain))
         for i in range(start, len(yprimes)):
             q = yprimes[i]
             if prod * q > x:
                 break
-            if boundary.le_power(q, last, x, c):
-                continue  # inside the window above the chain's last prime
-            out.append(WideSquarefree(m=prod * q, primes=chain + (q,)))
-            extend(prod * q, chain + (q,), i + 1)
+            extend(prod * q, chain + (q,), ends[i])
 
-    for i, p in enumerate(yprimes):
-        if p > x:
-            break
-        out.append(WideSquarefree(m=p, primes=(p,)))
-        extend(p, (p,), i + 1)
-
+    extend(1, (), 0)
     out.sort(key=lambda w: (w.k, w.m))
     return out
 

@@ -153,12 +153,9 @@ def primes_in_power_interval(
     cand = primes_in_interval(float(p), upper, table)
     if len(cand) == 0:
         return cand
-    # Only candidates whose log lands in the tie band need the exact test.
-    rhs = boundary.gap_exponent(x, c) * np.log(float(p))
-    diff = np.log(cand.astype(np.float64)) - rhs
-    keep = diff <= 0.0
-    band = np.abs(diff) < boundary.TIE_EPS
-    if band.any():
-        for i in np.nonzero(band)[0]:
-            keep[i] = boundary.le_power(int(cand[i]), p, x, c)
+    keep = boundary.le_banded(
+        np.log(cand.astype(np.float64)),
+        boundary.gap_exponent(x, c) * np.log(float(p)),
+        lambda i: boundary.le_power(int(cand[i]), p, x, c),
+    )
     return cand[keep]

@@ -648,6 +648,7 @@ STDOUT_DIGESTS = {
     "count --x 100000 --c 0.5": "fbcd0a9e27fd1749",
     "count --x 100000 --c 2": "280b056973718ea6",
     "enumerate-m --x 1000000 --c 1": "2ce5164b05c3ddb6",
+    "enumerate-m --x 9007199254740990 --c 1": "a9dfd0007b03d72d",
     "verify --x-max 300": "8b4874738081e6b3",
 }
 

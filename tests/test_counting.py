@@ -7,7 +7,6 @@ from mpmath import mp
 
 from factorgaps import (
     InsufficientTableError,
-    all_isolated,
     boundary,
     build_prime_table,
     count_isolated_set,
@@ -16,7 +15,6 @@ from factorgaps import (
     inclusion_exclusion,
     inner_counts,
     is_gap_form,
-    is_isolated,
     make_params,
     primes_in_power_interval,
     scan_range,
@@ -89,7 +87,8 @@ def test_params_rejects_bad_input():
 # ---------------------------------------------------------------- predicates
 
 
-def test_isolated_examples(table_small, pars30):
+def test_isolated_examples():
+    # the oracle's definition of "p is isolated in n", at x = 30, c = 1
     cases = [
         (10, 5, True),  # window (5, 7.17] holds 7, and 7 does not divide 10
         (30, 5, True),
@@ -101,13 +100,7 @@ def test_isolated_examples(table_small, pars30):
         (35, 5, False),  # 7 | 35 and 7 <= 5**E
     ]
     for n, p, expect in cases:
-        assert is_isolated(factorize(n, table_small), p, pars30) is expect
-
-
-def test_all_isolated_examples(table_small, pars30):
-    assert all_isolated(factorize(20, table_small), (2, 5), pars30)
-    assert not all_isolated(factorize(15, table_small), (2, 5), pars30)
-    assert all_isolated(factorize(7, table_small), (), pars30)  # empty product
+        assert oracle._chi(oracle.naive_factorize(n).primes, p, n, 30, 1.0) is expect
 
 
 def test_gap_form_examples(table_small, pars30):
@@ -127,11 +120,11 @@ def test_direct_counts_30(table_small, pars30):
     assert d.smooth_gap_count == 12
     assert d.n_direct + d.smooth_gap_count == d.n_direct_gapform
 
-    # the counted set, re-derived from the public predicates
+    # the counted set, re-derived from the oracle's definitions
     counted = []
     for fact in map(oracle.naive_factorize, range(1, 31)):
-        smalls = [p for p in fact.primes if boundary.le_root(p, 30, 1.0)]
-        if all(not is_isolated(fact, p, pars30) for p in smalls):
+        smalls = [p for p in fact.primes if oracle._is_small(p, 30, 1.0)]
+        if all(not oracle._chi(fact.primes, p, fact.n, 30, 1.0) for p in smalls):
             counted.append(fact.n)
     assert counted == [1, 17, 19, 23, 29]
 
@@ -271,11 +264,31 @@ def test_wide_set_30_c3(table_small):
     assert [w.m for w in wide_squarefree_set(pars, table_small)] == [1, 2]
 
 
-@pytest.mark.parametrize("x,c", [(30, 1.0), (100, 0.5), (100, 2.0), (300, 1.0)])
-def test_wide_set_matches_bruteforce(table_small, x, c):
+@pytest.mark.parametrize(
+    "x,c",
+    [(30, 1.0), (100, 0.5), (100, 2.0), (300, 1.0), (2000, 0.7)]
+    + [pytest.param(x, (p, q), id=f"{x}-tie-{p}-{q}")
+       for x, p, q in ((3000, 2, 3), (5000, 3, 7), (2000, 5, 11))],
+)
+def test_wide_set_matches_bruteforce(table_small, monkeypatch, x, c):
+    # c = (p, q) puts E on ln q / ln p, so q sits on the edge of p's window
+    # and the walk's window ends must re-decide it exactly
+    tie = c if isinstance(c, tuple) else None
+    if tie:
+        c = (math.log(tie[1]) / math.log(tie[0])) / math.log(math.log(x))
+    calls = []
+    le_power = boundary.le_power
+
+    def spy(*args):
+        calls.append(args[:2])
+        return le_power(*args)
+
+    monkeypatch.setattr(boundary, "le_power", spy)
     pars = make_params(x, c)
     got = [(w.m, w.primes) for w in wide_squarefree_set(pars, table_small)]
     assert got == oracle.naive_wide_squarefree(x, c)
+    if tie:
+        assert tie[::-1] in calls
 
 
 def test_wide_set_requires_table_reach():
@@ -310,7 +323,7 @@ def test_inner_count_matches_definition_at_150001(table_1e6):
     ref = dict.fromkeys(want, 0)
     for f in map(oracle.naive_factorize, range(1, x + 1)):
         for m in ref:
-            ref[m] += all_isolated(f, by_m[m].primes, pars)
+            ref[m] += all(oracle._chi(f.primes, p, f.n, x, 1.0) for p in by_m[m].primes)
     assert ref == want
     for m in want:
         assert count_isolated_set(by_m[m], pars, table_1e6) == want[m]
@@ -441,6 +454,43 @@ def test_boundary_robustness(table_small):
         with boundary.force_extended():
             slow = inclusion_exclusion(pars, table_small)
         assert fast == slow
+
+
+def test_force_extended_reaches_every_window(table_small, monkeypatch):
+    # one c puts 7 on the edge of 3's window (E = ln 7 / ln 3), another puts
+    # 13 on the small-prime cutoff (x**(1/E) = 13): outside force_extended
+    # the exact deciders see those ties alone, inside it every candidate
+    x = 5000
+    c_win = (math.log(7) / math.log(3)) / math.log(math.log(x))
+    c_cut = (math.log(x) / math.log(13)) / math.log(math.log(x))
+    power, root = [], []
+    le_power, le_root = boundary.le_power, boundary.le_root
+
+    def power_spy(q, p, x, c):
+        power.append(q)
+        return le_power(q, p, x, c)
+
+    def root_spy(p, x, c):
+        root.append(p)
+        return le_root(p, x, c)
+
+    monkeypatch.setattr(boundary, "le_power", power_spy)
+    monkeypatch.setattr(boundary, "le_root", root_spy)
+    want_win = [q for q in (5, 7) if oracle._le_power(q, 3, x, c_win)]
+    want_small = [p for p in (2, 3, 5, 7, 11, 13) if oracle._is_small(p, x, c_cut)]
+
+    def run():
+        power.clear()
+        root.clear()
+        win = primes_in_power_interval(3, x, c_win, table_small).tolist()
+        small = counting._small_primes(make_params(x, c_cut), table_small)
+        assert (win, small) == (want_win, want_small)
+
+    run()
+    assert (power, root) == ([7], [13])
+    with boundary.force_extended():
+        run()
+    assert (power, root) == ([5, 7], [2, 3, 5, 7, 11, 13])
 
 
 # ---------------------------------------------------------------- densities
