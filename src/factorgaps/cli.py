@@ -50,6 +50,9 @@ COUNT_X_GUARD = 100_000_000
 VERIFY_GRID_X = (30, 100, 300, 1000, 2000)
 VERIFY_GRID_C = (0.5, 1.0, 2.0)
 DEFAULT_SEED = 20
+# a task's table and prime logs cost at most 0.25 sqrt(b) integers of kernel
+# work (measured for b from 1e10 to 1e15): chunks of 8 sqrt(b) keep it near 3 %
+CHUNK_ROOTS = 8
 
 
 class UsageError(ValueError):
@@ -192,13 +195,14 @@ def run_scan(
 ) -> gaps.ScanSummary:
     """Scan [lo, hi) with up to cfg.workers processes, never more than
     there are chunks, and fold the chunk summaries in order; the merge law
-    makes the result identical for any worker count. ``distribution`` is
-    passed on to scan_range, and ``mode`` (default cfg.mode) picks the
-    thresholds."""
+    makes the result identical for any worker count. Chunks are at least a
+    segment and CHUNK_ROOTS * isqrt(hi) long, and each task builds its own
+    table. ``distribution`` is passed on to scan_range, and ``mode``
+    (default cfg.mode) picks the thresholds."""
     a, b = cfg.lo, cfg.hi
     mode = mode or cfg.mode
     range_point = b - 1 if mode == MODE_PER_RANGE else None
-    chunk = max(cfg.segment_size, (b - a) // (cfg.workers * 8) + 1)
+    chunk = max(cfg.segment_size, (b - a) // (cfg.workers * 8) + 1, CHUNK_ROOTS * isqrt(b))
     knobs = (cfg.c_values, mode, range_point, cfg.segment_size, distribution)
     tasks = [(lo, min(lo + chunk, b), *knobs) for lo in range(a, b, chunk)]
     workers = min(cfg.workers, len(tasks))
@@ -322,7 +326,7 @@ def cmd_density(cfg: RunConfig, stdout) -> int:
 def cmd_count(cfg: RunConfig, stdout) -> int:
     x, c = cfg.x, cfg.c_values[0]
     pars = make_params(x, c)
-    # factorize needs reach**2 >= x; every window min(p**E, x // p) of the
+    # factorize needs reach >= isqrt(x); every window min(p**E, x // p) of the
     # inner counts peaks where the two meet, at x**(E/(E+1)), tie-padded
     e = pars.gap_exp
     table = build_prime_table(max(

@@ -37,6 +37,9 @@ DEFAULT_SEGMENT_SIZE = 1 << 18  # a 7.5 MiB workspace; 2**17 scans slower, 2**19
 # primes above min(PASS_FLOOR, segment length) take one vectorized pass;
 # PASS_FLOOR**2 > MAX_SEGMENT_SIZE, so p**2 of such a p strikes a segment at most once
 PASS_FLOOR = 1 << 14
+# integers per sub-block of the tile and the primes up to SIEVE_BLOCK >> 8:
+# 1.5 MiB of prod, last_log and max_ratio, which stays in a 2 MiB L2
+SIEVE_BLOCK = 1 << 16
 POST_BLOCK = 1 << 15  # integers per post-pass block; results do not depend on it
 TINY = np.finfo(float).tiny  # the post-pass floors ratio 0 to this: log is -708, not -inf
 
@@ -221,15 +224,19 @@ def _sieve_segment(lo, hi, primes, logs, ws):
     logs of consecutive distinct sieved prime factors. Each integer sees its
     factors ascending, so the running maximum needs only the previous
     factor's log; last_log starts at +inf so a first factor's update
-    (lp / inf = 0) is a no-op. The first powers of PRESIEVE_PRIMES come
-    from a tiled pattern, those of the primes up to min(PASS_FLOOR, hi - lo)
-    from a strided loop in increasing order, and those of the larger primes
-    from :func:`_large_prime_pass`, which makes the loop's cost per segment
-    independent of pi(sqrt(hi)). A prime of the pass, or of the loop with
-    p * p > ws.size, strikes a segment at most once per power p**k, k >= 2,
-    so each k takes one vectorized pass over those primes that strike it
-    (Oliveira e Silva et al., 2014); products are exact below 2**53, in
-    any order."""
+    (lp / inf = 0) is a no-op. The segment is first filled in sub-blocks of
+    SIEVE_BLOCK integers, each small enough for L2: the tiled pattern of
+    PRESIEVE_PRIMES, then the strided first powers of the primes up to
+    SIEVE_BLOCK >> 8. The first powers of the other primes up to
+    min(PASS_FLOOR, hi - lo) follow in one strided loop over the whole
+    segment, in increasing order, and those of the larger primes in
+    :func:`_large_prime_pass`, which makes the loop's cost per segment
+    independent of pi(sqrt(hi)). Every power p**k, k >= 2, comes last,
+    one vectorized step per k over the primes whose p**(k-1) strikes:
+    strided where p**k is shorter than the segment, else in one
+    ``multiply.at``, as it strikes at most once (Oliveira e Silva et al.,
+    2014). Products are exact below 2**53, in any order, so none of this
+    changes a bit of the result."""
     seglen = hi - lo
     if seglen > ws.size:
         raise ValueError(f"[{lo}, {hi}) does not fit the workspace")
@@ -238,44 +245,47 @@ def _sieve_segment(lo, hi, primes, logs, ws):
     end = int(np.searchsorted(primes, root, "right"))
     k = sum(p <= root for p in PRESIEVE_PRIMES)
     cut = min(max(k, int(np.searchsorted(primes, min(PASS_FLOOR, seglen), "right"))), end)
-    looped, looped_logs = primes[:cut].tolist(), logs[:cut].tolist()
-    pattern = _presieve_pattern(tuple(looped[:k]), tuple(looped_logs[:k]))
-    off = lo % pattern[0].size
-    for out, period in zip((prod, last_log, max_ratio), pattern):
-        _tile(out, period, off)
-    large = []  # only a prime that strikes the segment can strike it with p**k
-    for p, lp in zip(looped, looped_logs):
-        start = (-lo) % p
-        if start >= seglen:
-            continue
-        if p > PRESIEVE_PRIMES[-1]:
-            ll = last_log[start::p]
-            mr = max_ratio[start::p]
-            np.maximum(mr, np.divide(lp, ll, out=ws.tmp[: ll.size]), out=mr)
-            ll[...] = lp
-            prod[start::p] *= p
-        # positions holding p^k are exactly the p^k strides, so higher
-        # powers come out without any divisibility scan
-        d = p * p
-        if d > ws.size:
-            large.append(p)
-            continue
-        while d <= hi - 1:
-            start_d = (-lo) % d
-            if start_d >= seglen:
-                break
-            prod[start_d::d] *= p
-            d *= p
+    near = min(max(k, int(np.searchsorted(primes, SIEVE_BLOCK >> 8, "right"))), cut)
+    pattern = _presieve_pattern(tuple(primes[:k].tolist()), tuple(logs[:k].tolist()))
+    for j in range(0, seglen, SIEVE_BLOCK):
+        sub = [a[j : j + SIEVE_BLOCK] for a in (prod, last_log, max_ratio)]
+        for out, period in zip(sub, pattern):
+            _tile(out, period, (lo + j) % period.size)
+        _strike(lo + j, primes[k:near], logs[k:near], *sub, ws.tmp)
+    _strike(lo, primes[near:cut], logs[near:cut], prod, last_log, max_ratio, ws.tmp)
     struck = _large_prime_pass(lo, primes[cut:end], logs[cut:end], prod, last_log, max_ratio)
-    big = np.concatenate((np.array(large, dtype=np.int64), struck))
+    # only a prime that strikes the segment can strike it with p**k
+    big = np.concatenate((primes[:cut], struck))
     d = big * big
     while big.size:
         start = (-lo) % d
         hit = start < seglen
-        np.multiply.at(prod, start[hit], big[hit])
+        many = hit & (d < seglen)
+        for s, dk, p in zip(start[many].tolist(), d[many].tolist(), big[many].tolist()):
+            strip = prod[s::dk]
+            np.multiply(strip, float(p), out=strip)
+        once = hit & ~many
+        np.multiply.at(prod, start[once], big[once])
         # p**(k+1) strikes only where p**k does; d * p <= hi - 1 without overflow
         keep = hit & (d <= (hi - 1) // big)
         big, d = big[keep], d[keep] * big[keep]
+
+
+def _strike(lo, primes, logs, prod, last_log, max_ratio, tmp):
+    """The first powers of ``primes`` (ascending, all above 13) on the
+    strip of prod, last_log and max_ratio starting at ``lo``, one strided
+    pass per prime; ``tmp`` holds a ratio per strike of 17."""
+    starts = ((-lo) % primes).tolist()
+    as_float = primes.astype(float).tolist()  # prod *= a float skips int conversion
+    for p, fp, lp, start in zip(primes.tolist(), as_float, logs.tolist(), starts):
+        if start >= prod.size:
+            continue
+        ll = last_log[start::p]
+        mr = max_ratio[start::p]
+        np.maximum(mr, np.divide(lp, ll, out=tmp[: ll.size]), out=mr)
+        ll.fill(lp)
+        pr = prod[start::p]
+        np.multiply(pr, fp, out=pr)
 
 
 def _large_prime_pass(lo, primes, logs, prod, last_log, max_ratio):
@@ -385,7 +395,12 @@ def scan_range(
     floored to the smallest normal double before the log, so its gap of
     about -708 bins to the corrected underflow slot; eligible n see the
     same float operations. A per-range scan without the distribution
-    takes no per-n log at all.
+    takes no per-n log at all. Every eligible ratio is at least 1, so a
+    threshold with c * top * (1 + 1e-12) < 1, top the ln ln of b - 1
+    (per-n) or of range_point, counts every eligible n with no comparison;
+    the margin covers np.log's ln ln n against math.log's. When every
+    per-n threshold is of that kind and no histogram is built, no block
+    takes ln ln n.
     """
     if not ELIGIBLE_FLOOR <= a < b <= MAX_SCAN_END:
         raise ValueError(f"need {ELIGIBLE_FLOOR} <= a < b <= 2**53, got [{a}, {b})")
@@ -406,17 +421,21 @@ def scan_range(
         hist=np.zeros(HIST_BINS + 2, dtype=np.int64) if distribution else None,
         exceed=dict.fromkeys(thr, 0),
     )
+    # a bound below 1 passes every eligible ratio (>= 1) and no ratio 0;
+    # the margin covers np.log against math.log in the per-n bounds
+    top = math.log(math.log(b - 1 if mode == MODE_PER_N else range_point))
+    decided = [c for c in thr if c * top * (1 + 1e-12) >= 1]
     for ws, _, lnln, _, ratio, _ in _walk(a, b, table, segment_size):
         buf, bins, mask = (x[: ratio.size] for x in (ws.buf, ws.bins, ws.masks[0]))
         block_eligible = int(np.count_nonzero(np.greater(ratio, 0, out=mask)))
         s.eligible += block_eligible
-        if distribution or mode == MODE_PER_N:
+        if distribution or (mode == MODE_PER_N and decided):
             np.log(np.log(lnln, out=lnln), out=lnln)  # n -> ln ln n
         for c in s.thresholds:
-            if mode == MODE_PER_N:
-                bound = np.multiply(c, lnln, out=buf)
-            else:  # a bound <= 0 (range_point < 3) passes every ratio > 1, not 0
-                bound = max(c * math.log(math.log(range_point)), 0.0)
+            if c not in decided:
+                s.exceed[c] += block_eligible
+                continue
+            bound = np.multiply(c, lnln, out=buf) if mode == MODE_PER_N else c * top
             s.exceed[c] += int(np.count_nonzero(np.greater(ratio, bound, out=mask)))
         if not distribution:
             continue

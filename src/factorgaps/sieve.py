@@ -79,14 +79,15 @@ def build_prime_table(limit: int) -> PrimeTable:
 def factorize(n: int, table: PrimeTable) -> Factorization:
     """Factor n by trial division over the table's primes.
 
-    Requires ``1 <= n < 2**63`` and ``table.limit**2 >= n``, so that after
-    dividing out every table prime <= sqrt(n) a cofactor > 1 is itself
-    prime. One int64 remainder over the primes up to sqrt(n) finds the
-    primes that divide n; only those are divided out, in Python ints.
+    Requires ``1 <= n < 2**63`` and ``table.limit >= isqrt(n)``: a
+    composite n has a prime factor <= isqrt(n), so after dividing out every
+    table prime up to it a cofactor > 1 is itself prime. One int64
+    remainder over the primes up to isqrt(n) finds the primes that divide
+    n; only those are divided out, in Python ints.
     """
     if not 1 <= n < 2**63:
         raise ValueError(f"n must be in [1, 2**63), got {n}")
-    if table.limit * table.limit < n:
+    if table.limit < isqrt(n):
         raise InsufficientTableError(
             f"table limit {table.limit} cannot certify factors of {n}"
         )

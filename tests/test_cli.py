@@ -247,6 +247,27 @@ def test_scan_single_chunk_starts_no_pool(monkeypatch):
     assert a == b
 
 
+def test_far_window_is_one_chunk_at_any_worker_count(monkeypatch):
+    # [1e15, 1e15 + 2**22) is shorter than CHUNK_ROOTS * isqrt(max), so it
+    # is one task with one table, and 2 workers start no pool
+    args = ("scan", "--min", "1000000000000000", "--max", "1000000004194304",
+            "--c", "0.5,1,2")
+    tables = []
+    monkeypatch.setattr(cli, "build_prime_table",
+                        lambda limit: tables.append(limit) or build_prime_table(limit))
+    rc1, a = run_cli(*args, "--workers", "1")
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a one-chunk scan must not start worker processes")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rc2, b = run_cli(*args, "--workers", "2")
+    assert rc1 == rc2 == 0
+    assert a == b
+    assert tables == [math.isqrt(1000000004194303)] * 2
+
+
 def zero_summary(lo, hi, thresholds, mode, range_point):
     thr = tuple(sorted(set(thresholds)))
     hist = np.zeros(HIST_BINS + 2, dtype=np.int64)

@@ -20,6 +20,7 @@ from factorgaps import (
 from factorgaps import gaps as gaps_module
 from factorgaps import boundary, counting, oracle
 from factorgaps.gaps import (
+    MAX_SCAN_END,
     MODE_PER_N,
     MODE_PER_RANGE,
     _finish_blocks,
@@ -266,6 +267,49 @@ def test_sieve_segment_matches_factorization_far(table_32e6, lo, length):
     check_sieve_segment(lo, lo + length, table, sieve_fresh(lo, lo + length, table, sieving=sieving))
 
 
+def sympy_state(n, root):
+    """The kernel's state for n, from sympy.factorint and math.log alone,
+    with the primes up to ``root`` sieved: (prod, cofactor, last_log,
+    max_ratio), max_ratio over every distinct prime factor."""
+    factors = sorted(pytest.importorskip("sympy").factorint(n).items())
+    sieved = [p for p, _ in factors if p <= root]
+    prod = math.prod(p**e for p, e in factors if p <= root)
+    logs = [math.log(p) for p, _ in factors]
+    ratio = max((q / p for p, q in zip(logs, logs[1:])), default=0.0)
+    return prod, n // prod, math.log(sieved[-1]) if sieved else math.inf, ratio
+
+
+@pytest.fixture(scope="module")
+def table_2_53():
+    table = build_prime_table(math.isqrt(MAX_SCAN_END - 1))  # 5484598 primes
+    return table, _sieving_primes(table, MAX_SCAN_END)
+
+
+@pytest.mark.parametrize("lo,hi", [(2**53 - 2**17, 2**53), (10**15, 10**15 + 2**17)])
+def test_kernel_matches_sympy_reference(monkeypatch, table_2_53, lo, hi):
+    # one segment of two sub-blocks, bitwise equal to one sub-block, where
+    # an offset error in the tile or the strided primes would show; its 64
+    # integers nearest MAX_SCAN_END or 1e15 against sympy: prod, cofactor
+    # and last_log exact, max_ratio within an ulp (the cofactor's log is
+    # np.log's; at 9007199254739857 = 89 * 313 * 2579 * 125373019 it is an
+    # ulp off)
+    table, sieving = table_2_53
+    ws = _Workspace(hi - lo)
+    cof, last_log, max_ratio = sieve_fresh(lo, hi, table, ws, sieving)
+    prod = ws.prod[: hi - lo].copy()
+    monkeypatch.setattr(gaps_module, "SIEVE_BLOCK", 2**20)
+    got = sieve_fresh(lo, hi, table, ws, sieving)
+    assert all(np.array_equal(a, b) for a, b in zip(got, (cof, last_log, max_ratio)))
+    assert np.array_equal(ws.prod[: hi - lo], prod)
+    root = math.isqrt(hi - 1)
+    near = [*range(hi - 64, hi), 9007199254739857] if hi == MAX_SCAN_END else range(lo, lo + 64)
+    for n in near:
+        i = n - lo
+        want_prod, want_cof, want_last, want_ratio = sympy_state(n, root)
+        assert (prod[i], cof[i], last_log[i]) == (want_prod, want_cof, want_last), n
+        assert abs(max_ratio[i] - want_ratio) <= math.ulp(want_ratio), n
+
+
 @pytest.mark.parametrize("floor", [64, 300])
 @pytest.mark.parametrize("lo,hi", [(10**6, 10**6 + 3000), (2**31 - 2000, 2**31 + 2000)])
 def test_large_prime_pass_equals_the_loop(monkeypatch, floor, lo, hi):
@@ -332,6 +376,54 @@ def test_post_pass_block_length_changes_nothing(monkeypatch, table_small, block)
         assert summaries_equal(got, want) if want.hist is not None else exceedances_equal(got, want)
     assert got_counts == want_counts
     check_sieve_segment(10**6 - 13, 10**6 + 200, TABLE_5E4)  # blocks of this length
+
+
+BLOCK_WINDOWS = [
+    (1, 30),  # hi - 1 < 49: the pattern of 2, 3, 5
+    (100, 169),  # hi - 1 < 169: 13 is not pre-sieved
+    (16, 150),
+    (7 * 30030 - 5000, 7 * 30030 + 5000),  # across a period of the pattern
+    (10**6 + 12_345, 10**6 + 21_345),  # lo % 30030 = 9_735
+    (10**7 + 29_000, 10**7 + 38_000),  # lo % 30030 = 8_730, across a period
+    (2**31 - 2000, 2**31 + 2000),
+]
+
+
+@pytest.fixture(scope="module")
+def block_windows_default():
+    """The kernel's result on each of BLOCK_WINDOWS at the default
+    SIEVE_BLOCK, checked against factorization once."""
+    want = [sieve_fresh(lo, hi, TABLE_5E4) for lo, hi in BLOCK_WINDOWS]
+    for (lo, hi), got in zip(BLOCK_WINDOWS, want):
+        check_sieve_segment(lo, hi, TABLE_5E4, got)
+    return want
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096, 8192])
+def test_sieve_block_length_changes_nothing(monkeypatch, block_windows_default, block):
+    # sub-blocks of 1, 7 and 4096 integers only tile the pattern; at 8192
+    # the primes 17..31 strike per sub-block too; every window is one
+    # segment, cut at several offsets mod 30030, and bitwise equal to the
+    # default, which passes check_sieve_segment
+    monkeypatch.setattr(gaps_module, "SIEVE_BLOCK", block)
+    for (lo, hi), want in zip(BLOCK_WINDOWS, block_windows_default):
+        got = sieve_fresh(lo, hi, TABLE_5E4)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (lo, hi)
+
+
+@pytest.mark.parametrize("block", [2**12, 2**20])
+def test_default_sieve_blocks_change_nothing(monkeypatch, block):
+    # one segment of three default sub-blocks and a tail, against 49
+    # sub-blocks with no strided prime in them and against one sub-block
+    # where the primes up to 4096 strike; its last 12000 integers, across
+    # the last edge, against factorization
+    lo = 10**8 + 4321
+    hi = lo + 3 * gaps_module.SIEVE_BLOCK + 999
+    want = sieve_fresh(lo, hi, TABLE_5E4)
+    monkeypatch.setattr(gaps_module, "SIEVE_BLOCK", block)
+    got = sieve_fresh(lo, hi, TABLE_5E4)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    check_sieve_segment(hi - 12_000, hi, TABLE_5E4, tuple(a[-12_000:] for a in got))
 
 
 def workspace_bytes(size):
@@ -559,6 +651,36 @@ def test_scan_exceed_monotone_in_c(table_small):
     s = scan_range(16, 50_000, [0.25, 0.5, 1.0, 2.0, 4.0], table_small)
     counts = [s.exceed[c] for c in (0.25, 0.5, 1.0, 2.0, 4.0)]
     assert counts == sorted(counts, reverse=True)
+
+
+@pytest.mark.parametrize("distribution", [False, True])
+@pytest.mark.parametrize("mode", [MODE_PER_N, MODE_PER_RANGE])
+@pytest.mark.parametrize(
+    "a,b,above",
+    [
+        (16, 101 * 103 + 1, 1.005),  # ratio(101 * 103) = 1.0042
+        (1019 * 1021 - 3000, 1019 * 1021 + 1, 1.0003),  # ratio(1019 * 1021) = 1.00028
+    ],
+)
+def test_threshold_below_every_eligible_ratio(table_small, a, b, above, mode, distribution):
+    # each window ends at a product of twin primes, whose ratio is near 1.
+    # A c with c ln ln (b - 1) (1 + 1e-12) < 1 puts every bound of the
+    # window below 1, so it counts every eligible n; a c `above` times that
+    # cut is still compared per n, and the window's last n does not exceed
+    # it, so a rule wider by that factor fails here
+    cut = 1 / (math.log(math.log(b - 1)) * (1 + 1e-12))
+    below, above = cut * (1 - 1e-12), cut * above
+    s = scan_range(a, b, [below, above], table_small, mode, distribution=distribution)
+    ratios = [gap_profile(factorize(n, table_small)).ratio for n in range(a, b)]
+    eligible = sum(r is not None for r in ratios)
+    point = (lambda n: n) if mode == MODE_PER_N else (lambda n: b - 1)
+    want = sum(
+        r is not None and r > above * math.log(math.log(point(n)))
+        for n, r in zip(range(a, b), ratios)
+    )
+    assert s.eligible == eligible
+    assert s.exceed == {below: eligible, above: want}
+    assert ratios[-1] <= above * math.log(math.log(b - 1))  # so want < eligible
 
 
 def test_scan_validates_arguments(table_small):

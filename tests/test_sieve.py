@@ -91,6 +91,19 @@ def test_factorize_insufficient_table():
         factorize(10**9, small)
 
 
+def test_factorize_needs_only_the_root_of_n(table_small):
+    # a composite n has a prime factor <= isqrt(n), so a table reaching
+    # isqrt(n) certifies n's factors, though limit**2 < n; a table to
+    # 10**4 factors every n < 10001**2 and refuses that square
+    assert factorize(101 * 103, build_prime_table(101)).factors == ((101, 1), (103, 1))
+    with pytest.raises(InsufficientTableError):
+        factorize(103**2, build_prime_table(102))
+    for n in range(10_001**2 - 200, 10_001**2):
+        assert factorize(n, table_small) == oracle.naive_factorize(n)
+    with pytest.raises(InsufficientTableError):
+        factorize(10_001**2, table_small)
+
+
 @pytest.mark.parametrize(
     "n,error", [(0, ValueError), (2**63, ValueError), (2**63 - 1, InsufficientTableError)]
 )
