@@ -14,9 +14,9 @@ double rounds the wrong way (mpmath is imported at the first such tie).
 Counts built on these predicates are exact integers, not "exact up to rounding".
 
 :func:`le_power` and :func:`le_root` decide one pair; :func:`le_banded`
-an array, for every window (``sieve.primes_in_power_interval``) and the
-cutoff (``counting._small_primes``). ``counting.direct_counts`` masks
-its blocks against :func:`tie_band` in its own workspace.
+an array, for every window (``sieve.primes_in_power_interval``), the
+cutoff (``counting._small_primes``) and the gap-form test of
+``counting.direct_counts``. No other module knows the band.
 
 ``force_extended()`` widens the band to every comparison, windows
 included; the verification suite uses it to confirm that the double
@@ -58,8 +58,8 @@ def tie_band() -> float:
 def le_banded(lhs: np.ndarray, rhs: float, exact: Callable[[int], bool]) -> np.ndarray:
     """The mask ``lhs <= rhs`` of an array of float logs; ``exact(i)``
     re-decides each entry i within :func:`tie_band` of ``rhs``."""
-    keep = lhs <= rhs
-    for i in np.flatnonzero(np.abs(lhs - rhs) < tie_band()).tolist():
+    keep, band = lhs <= rhs, tie_band()
+    for i in np.flatnonzero((lhs > rhs - band) & (lhs < rhs + band)).tolist():
         keep[i] = exact(i)
     return keep
 

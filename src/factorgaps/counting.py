@@ -99,35 +99,29 @@ def direct_counts(pars: CountParams, table: PrimeTable) -> DirectCounts:
     """Count gap-form and smooth gap-form n <= x on the scan kernel's
     segment walk; N(x) is their difference.
 
-    n is gap-form iff its largest log ratio (0 if omega <= 1) is <= E.
-    Ratios within :func:`boundary.tie_band` of E (every eligible n under
-    :func:`boundary.force_extended`) are re-decided exactly from the
+    n is gap-form iff its largest log ratio (0 if omega <= 1) is <= E,
+    decided by :func:`boundary.le_banded`, which re-decides ties from the
     factorization.
     """
     e = pars.gap_exp
     yprimes = _small_primes(pars, table)
     y = yprimes[-1] if yprimes else 1
-    band = boundary.tie_band()
     n_gapform = n_smooth = 0
     for ws, start, _, cof, max_ratio, last_log in _walk(
         1, pars.x + 1, table, DEFAULT_SEGMENT_SIZE
     ):
-        gapform, smooth, ties = ws.masks[:, : max_ratio.size]
-        dist = ws.buf[: max_ratio.size]
-        # max_ratio is 0 for omega <= 1, which is gap-form and never a tie
-        np.less_equal(max_ratio, e, out=gapform)
-        np.less(np.abs(np.subtract(max_ratio, e, out=dist), out=dist), band, out=ties)
-        ties &= np.greater(max_ratio, 0, out=smooth)
-        for j in np.flatnonzero(ties):
-            gapform[j] = is_gap_form(factorize(start + int(j), table), pars)
+        gapform = boundary.le_banded(
+            max_ratio, e, lambda j: is_gap_form(factorize(start + j, table), pars)
+        )
+        smooth, scratch = ws.masks[:, : max_ratio.size]
         # Smooth: cof <= y and (cof > 1 or last_log <= log y), as the
         # largest prime is cof if cof > 1, else the last sieved one (n = 1
         # has neither: cof = 1, last_log = inf). cof is an exact integer,
         # and logs of distinct primes differ by far more than an ulp: both
         # tests are exact.
         np.less_equal(last_log, math.log(y), out=smooth)
-        smooth |= np.greater(cof, 1, out=ties)
-        smooth &= np.less_equal(cof, y, out=ties)
+        smooth |= np.greater(cof, 1, out=scratch)
+        smooth &= np.less_equal(cof, y, out=scratch)
         smooth &= gapform
         n_gapform += int(np.count_nonzero(gapform))
         n_smooth += int(np.count_nonzero(smooth))

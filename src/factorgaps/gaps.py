@@ -34,8 +34,8 @@ _MIDS = HIST_LO + (np.arange(HIST_BINS) + 0.5) * HIST_WIDTH
 
 MAX_SEGMENT_SIZE = 1 << 22  # bounds the workspace: 24 B per integer, 96 MiB
 DEFAULT_SEGMENT_SIZE = 1 << 18  # a 7.5 MiB workspace; 2**17 scans slower, 2**19 no faster
-# primes above min(PASS_FLOOR, segment length) take one vectorized pass;
-# PASS_FLOOR**2 > MAX_SEGMENT_SIZE, so p**2 of such a p strikes a segment at most once
+# the first powers of the primes above min(PASS_FLOOR, segment length) take one
+# vectorized pass; the powers p**k, k >= 2, of every prime take their own steps
 PASS_FLOOR = 1 << 14
 # integers per sub-block of the tile and the primes up to SIEVE_BLOCK >> 8:
 # 1.5 MiB of prod, last_log and max_ratio, which stays in a 2 MiB L2
@@ -204,7 +204,7 @@ class _Workspace:
         self.ramp = np.arange(float(self.block))
         self.n, self.cof, self.buf = np.empty((3, self.block))
         self.bins = np.empty(self.block, dtype=np.int64)
-        self.masks = np.empty((3, self.block), dtype=bool)
+        self.masks = np.empty((2, self.block), dtype=bool)
 
 
 @lru_cache(maxsize=1)
@@ -380,8 +380,8 @@ def scan_range(
         "per-n" compares ratio(n) against c * ln ln n; "per-range"
         against the fixed c * ln ln range_point.
     range_point : int, optional
-        Reference point for "per-range"; defaults to b - 1, the largest
-        integer scanned.
+        Reference point for "per-range", at least 2; defaults to b - 1,
+        the largest integer scanned.
     segment_size : int
         Sieve segment length; results are independent of it.
     distribution : bool
@@ -408,10 +408,12 @@ def scan_range(
         raise ValueError(f"unknown mode {mode!r}")
     if not 1 <= segment_size <= MAX_SEGMENT_SIZE:
         raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_SIZE}]")
-    if mode == MODE_PER_RANGE and range_point is None:
-        range_point = b - 1
     if mode == MODE_PER_N:
         range_point = None
+    elif range_point is None:
+        range_point = b - 1
+    elif range_point < 2:  # ln ln range_point must exist
+        raise ValueError(f"range_point must be >= 2, got {range_point}")
 
     thr = tuple(sorted(set(float(c) for c in thresholds)))
     if any(c <= 0 for c in thr):

@@ -199,6 +199,24 @@ def test_direct_counts_exact_at_constructed_ties(table_small, monkeypatch, x, p,
     assert fast.n_direct == oracle.naive_N(x, c) == want
 
 
+def test_direct_counts_force_extended_decides_every_n(table_small, monkeypatch):
+    # under force_extended every n in [1, x] is re-decided from its
+    # factorization, omega <= 1 included, and the counts stay exact
+    x, c = 3000, 1.0
+    seen = []
+    exact = counting.is_gap_form
+
+    def spy(fact, pars):
+        seen.append(fact.n)
+        return exact(fact, pars)
+
+    monkeypatch.setattr(counting, "is_gap_form", spy)
+    with boundary.force_extended():
+        d = direct_counts(make_params(x, c), table_small)
+    assert seen == list(range(1, x + 1))
+    assert d.n_direct == oracle.naive_N(x, c)
+
+
 def test_direct_counts_1e6(table_1e6):
     d = direct_counts(make_params(10**6, 1.0), table_1e6)
     assert (d.n_direct, d.n_direct_gapform, d.smooth_gap_count) == (

@@ -310,12 +310,13 @@ def test_kernel_matches_sympy_reference(monkeypatch, table_2_53, lo, hi):
         assert abs(max_ratio[i] - want_ratio) <= math.ulp(want_ratio), n
 
 
-@pytest.mark.parametrize("floor", [64, 300])
+@pytest.mark.parametrize("floor", [16, 64, 300])
 @pytest.mark.parametrize("lo,hi", [(10**6, 10**6 + 3000), (2**31 - 2000, 2**31 + 2000)])
 def test_large_prime_pass_equals_the_loop(monkeypatch, floor, lo, hi):
-    # with PASS_FLOOR lowered (still floor**2 > hi - lo), primes above it
-    # that strike a segment many times take the pass too; prod, last_log
-    # and max_ratio stay the loop's, which the edge windows check
+    # with PASS_FLOOR lowered, primes above it that strike a segment many
+    # times take the pass too, and at floor 16 even their squares are
+    # shorter than the segment, so the power steps stride them; prod,
+    # last_log and max_ratio stay the loop's, which the edge windows check
     want = sieve_fresh(lo, hi, TABLE_5E4)
     monkeypatch.setattr(gaps_module, "PASS_FLOOR", floor)
     got = sieve_fresh(lo, hi, TABLE_5E4)
@@ -363,7 +364,7 @@ def test_post_pass_block_length_changes_nothing(monkeypatch, table_small, block)
             for mode in (MODE_PER_N, MODE_PER_RANGE):
                 out.append(scan_range(a, b, thr, TABLE_5E4, mode, **kw))
                 out.append(scan_range(a, b, thr, TABLE_5E4, mode, **kw, distribution=False))
-        with boundary.force_extended():  # re-decides every eligible n by index
+        with boundary.force_extended():  # re-decides every n by index
             forced = [counting.direct_counts(p, table_small) for p in pars]
         return out, [counting.direct_counts(p, table_small) for p in pars] + forced
 
@@ -438,10 +439,10 @@ def test_workspace_footprint():
 
 def test_default_workspace_footprint():
     # 24 B per integer plus the loop's scratch and the post-pass block
-    # buffers, ramp and masks, which do not grow with the segment
+    # buffers, ramp and two masks, which do not grow with the segment
     size = gaps_module.DEFAULT_SEGMENT_SIZE
     block = min(gaps_module.POST_BLOCK, size)
-    assert workspace_bytes(size) <= 24 * size + 8 * -(-size // 17) + 43 * block
+    assert workspace_bytes(size) <= 24 * size + 8 * -(-size // 17) + 42 * block
     assert workspace_bytes(size) <= 8 * 2**20
 
 
@@ -694,6 +695,9 @@ def test_scan_validates_arguments(table_small):
         scan_range(16, 100, [1.0], table_small, mode="sideways")
     with pytest.raises(ValueError):  # n past 2**53 is not exact as a float
         scan_range(2**53 - 10, 2**53 + 1, [1.0], table_small)
+    for point in (1, 0, -5):  # ln ln range_point does not exist
+        with pytest.raises(ValueError, match="range_point"):
+            scan_range(16, 100, [1.0], table_small, MODE_PER_RANGE, point)
 
 
 def test_scan_law_matches_binned_profiles(table_small):
