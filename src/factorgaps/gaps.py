@@ -33,7 +33,7 @@ _GUMBEL = np.array([math.exp(-math.exp(-u)) for u in _EDGES])  # libm, not numpy
 _MIDS = HIST_LO + (np.arange(HIST_BINS) + 0.5) * HIST_WIDTH
 
 MAX_SEGMENT_SIZE = 1 << 22  # bounds the workspace: 24 B per integer, 96 MiB
-DEFAULT_SEGMENT_SIZE = 1 << 18  # a 7.5 MiB workspace; 2**17 scans slower, 2**19 no faster
+DEFAULT_SEGMENT_SIZE = 1 << 18  # a 7.3 MiB workspace; 2**17 scans slower, 2**19 no faster
 # the first powers of the primes above min(PASS_FLOOR, segment length) take one
 # vectorized pass; the powers p**k, k >= 2, of every prime take their own steps
 PASS_FLOOR = 1 << 14
@@ -42,6 +42,8 @@ PASS_FLOOR = 1 << 14
 SIEVE_BLOCK = 1 << 16
 POST_BLOCK = 1 << 15  # integers per post-pass block; results do not depend on it
 TINY = np.finfo(float).tiny  # the post-pass floors ratio 0 to this: log is -708, not -inf
+REDO_EPS = 1e-11  # relative margin of a block's ln ln n bounds, far above np.log's error
+REDO_BATCH = 1 << 9  # integers per batch of redone post-pass outcomes
 
 MAX_SCAN_END = 2**53  # the kernel's float64 n and prod are exact below this
 
@@ -188,10 +190,9 @@ def _tile(out, period, off):
 class _Workspace:
     """Arrays for segments of at most ``size`` integers, made once and
     reused through slices and ``out=``: prod, last_log and max_ratio, three
-    float64 per integer (n < 2**53, so prod, a divisor of n, is exact); a
-    ceil(size/17) scratch for the strided loop, where only primes >= 17
-    strike; and post-pass block buffers, with the ramp 0, 1, ... that n is
-    built from: 7.5 MiB at the default 2**18 integers, 25.8 MiB at 2**20.
+    float64 per integer (n < 2**53, so prod, a divisor of n, is exact), and
+    post-pass block buffers, with the ramp 0, 1, ... that n is built from:
+    7.3 MiB at the default 2**18 integers, 25.3 MiB at 2**20.
     The large-prime pass writes its updates here too; only its offsets
     (one per prime it takes) and hits (about 0.6 per integer at 1e15) are
     made per segment. Untouched pages are never faulted."""
@@ -199,7 +200,6 @@ class _Workspace:
     def __init__(self, size: int):
         self.size = size
         self.prod, self.last_log, self.max_ratio = np.empty((3, size))
-        self.tmp = np.empty(-(-size // 17))
         self.block = min(POST_BLOCK, size)
         self.ramp = np.arange(float(self.block))
         self.n, self.cof, self.buf = np.empty((3, self.block))
@@ -251,8 +251,8 @@ def _sieve_segment(lo, hi, primes, logs, ws):
         sub = [a[j : j + SIEVE_BLOCK] for a in (prod, last_log, max_ratio)]
         for out, period in zip(sub, pattern):
             _tile(out, period, (lo + j) % period.size)
-        _strike(lo + j, primes[k:near], logs[k:near], *sub, ws.tmp)
-    _strike(lo, primes[near:cut], logs[near:cut], prod, last_log, max_ratio, ws.tmp)
+        _strike(lo + j, primes[k:near], logs[k:near], *sub)
+    _strike(lo, primes[near:cut], logs[near:cut], prod, last_log, max_ratio)
     struck = _large_prime_pass(lo, primes[cut:end], logs[cut:end], prod, last_log, max_ratio)
     # only a prime that strikes the segment can strike it with p**k
     big = np.concatenate((primes[:cut], struck))
@@ -271,10 +271,10 @@ def _sieve_segment(lo, hi, primes, logs, ws):
         big, d = big[keep], d[keep] * big[keep]
 
 
-def _strike(lo, primes, logs, prod, last_log, max_ratio, tmp):
+def _strike(lo, primes, logs, prod, last_log, max_ratio):
     """The first powers of ``primes`` (ascending, all above 13) on the
     strip of prod, last_log and max_ratio starting at ``lo``, one strided
-    pass per prime; ``tmp`` holds a ratio per strike of 17."""
+    pass per prime; each ratio goes into the last_log strip it replaces."""
     starts = ((-lo) % primes).tolist()
     as_float = primes.astype(float).tolist()  # prod *= a float skips int conversion
     for p, fp, lp, start in zip(primes.tolist(), as_float, logs.tolist(), starts):
@@ -282,7 +282,7 @@ def _strike(lo, primes, logs, prod, last_log, max_ratio, tmp):
             continue
         ll = last_log[start::p]
         mr = max_ratio[start::p]
-        np.maximum(mr, np.divide(lp, ll, out=tmp[: ll.size]), out=mr)
+        np.maximum(mr, np.divide(lp, ll, out=ll), out=mr)
         ll.fill(lp)
         pr = prod[start::p]
         np.multiply(pr, fp, out=pr)
@@ -393,14 +393,16 @@ def scan_range(
     Each block of :func:`_walk` adds its counts to one summary. An
     ineligible n has ratio 0, which exceeds no (positive) bound, and is
     floored to the smallest normal double before the log, so its gap of
-    about -708 bins to the corrected underflow slot; eligible n see the
-    same float operations. A per-range scan without the distribution
-    takes no per-n log at all. Every eligible ratio is at least 1, so a
-    threshold with c * top * (1 + 1e-12) < 1, top the ln ln of b - 1
-    (per-n) or of range_point, counts every eligible n with no comparison;
-    the margin covers np.log's ln ln n against math.log's. When every
-    per-n threshold is of that kind and no histogram is built, no block
-    takes ln ln n.
+    about -708 bins to the corrected underflow slot. Every eligible ratio
+    is at least 1, so a threshold with c * top * (1 + 1e-12) < 1, top the
+    ln ln of b - 1 (per-n) or of range_point, counts every eligible n with
+    no comparison (the margin covers np.log against math.log). No block
+    takes ln ln n per integer: math.log's at its first and last n, widened
+    by REDO_EPS, bound every n's. A per-n threshold counts ratio > c upper
+    as exceeding and ratio <= c lower as not; t is binned with ln upper for
+    ln ln ln n, at most 20 (ln upper - ln lower) bins low. The n left open
+    are redone in batches with the per-integer float operations, and the
+    counts take the difference: every outcome is the per-integer one.
     """
     if not ELIGIBLE_FLOOR <= a < b <= MAX_SCAN_END:
         raise ValueError(f"need {ELIGIBLE_FLOOR} <= a < b <= 2**53, got [{a}, {b})")
@@ -416,42 +418,80 @@ def scan_range(
         raise ValueError(f"range_point must be >= 2, got {range_point}")
 
     thr = tuple(sorted(set(float(c) for c in thresholds)))
-    if any(c <= 0 for c in thr):
-        raise ValueError("thresholds must be positive")
+    if not all(0 < c < math.inf for c in thr):  # NaN fails too
+        raise ValueError("thresholds must be finite and positive")
     s = ScanSummary(
         a, b, thr, mode, range_point, eligible=0,
         hist=np.zeros(HIST_BINS + 2, dtype=np.int64) if distribution else None,
         exceed=dict.fromkeys(thr, 0),
     )
-    # a bound below 1 passes every eligible ratio (>= 1) and no ratio 0;
-    # the margin covers np.log against math.log in the per-n bounds
     top = math.log(math.log(b - 1 if mode == MODE_PER_N else range_point))
     decided = [c for c in thr if c * top * (1 + 1e-12) >= 1]
-    for ws, _, lnln, _, ratio, _ in _walk(a, b, table, segment_size):
+    redo = _Redo(s, [c for c in decided if mode == MODE_PER_N])
+    for ws, start, slot, _, ratio, _ in _walk(a, b, table, segment_size):
         buf, bins, mask = (x[: ratio.size] for x in (ws.buf, ws.bins, ws.masks[0]))
         block_eligible = int(np.count_nonzero(np.greater(ratio, 0, out=mask)))
         s.eligible += block_eligible
-        if distribution or (mode == MODE_PER_N and decided):
-            np.log(np.log(lnln, out=lnln), out=lnln)  # n -> ln ln n
+        lower = math.log(math.log(start)) * (1 - REDO_EPS)
+        upper = math.log(math.log(start + ratio.size - 1)) * (1 + REDO_EPS)
+        flags = None  # the n the bounds leave open
         for c in s.thresholds:
             if c not in decided:
                 s.exceed[c] += block_eligible
                 continue
-            bound = np.multiply(c, lnln, out=buf) if mode == MODE_PER_N else c * top
-            s.exceed[c] += int(np.count_nonzero(np.greater(ratio, bound, out=mask)))
-        if not distribution:
-            continue
-        gap = np.log(np.maximum(ratio, TINY, out=ratio), out=ratio)
-        np.log(lnln, out=buf)  # ln ln ln n, from ln ln n
-        np.subtract(gap, buf, out=buf)
-        buf -= HIST_LO
-        buf *= HIST_INV_WIDTH
-        np.clip(np.floor(buf, out=buf), -1, HIST_BINS, out=buf)
-        buf += 1  # slot 0 is the underflow
-        np.copyto(bins, buf, casting="unsafe")
-        s.hist += np.bincount(bins, minlength=HIST_BINS + 2)
-        s.hist[0] -= ratio.size - block_eligible
+            bound = c * upper if mode == MODE_PER_N else c * top
+            above = int(np.count_nonzero(np.greater(ratio, bound, out=mask)))
+            s.exceed[c] += above
+            if mode == MODE_PER_N and np.count_nonzero(ratio > c * lower) > above:
+                band = (ratio > c * lower) & (ratio <= bound)
+                flags = band if flags is None else flags | band
+        if distribution:  # slot (0 the underflow) and position in it, from ln upper
+            gap = np.log(np.maximum(ratio, TINY, out=buf), out=buf)
+            np.subtract(gap, math.log(upper) + HIST_LO - HIST_WIDTH, out=buf)
+            buf *= HIST_INV_WIDTH
+            np.floor(np.clip(buf, 0, HIST_BINS + 1, out=buf), out=slot)
+            np.copyto(bins, slot, casting="unsafe")
+            s.hist += np.bincount(bins, minlength=HIST_BINS + 2)
+            s.hist[0] -= ratio.size - block_eligible
+            spread = HIST_INV_WIDTH * (math.log(upper) - math.log(lower))
+            np.greater_equal(np.subtract(buf, slot, out=buf), 1 - spread, out=mask)
+            flags = mask if flags is None else np.logical_or(mask, flags, out=mask)
+        if flags is not None:
+            redo.add(flags, start, ratio, upper, slot)
+    redo.flush()
     return s
+
+
+class _Redo:
+    """The n a block's bounds leave open, with ratio, the block's upper bound
+    and (with the histogram) provisional slot, redone REDO_BATCH at a time."""
+
+    def __init__(self, s: ScanSummary, per_n: list):
+        self.s, self.per_n, self.k, self.held = s, per_n, 0, np.empty((4, REDO_BATCH))
+
+    def add(self, flags, start, ratio, upper, slot):
+        # at most REDO_BATCH indices at a time: larger temporaries inflate the heap
+        step = flags.size if np.count_nonzero(flags) <= REDO_BATCH else REDO_BATCH
+        for j in range(0, flags.size, step):
+            idx = np.flatnonzero(flags[j : j + step]) + j
+            while idx.size:
+                take, idx = idx[: REDO_BATCH - self.k], idx[REDO_BATCH - self.k :]
+                n, r, u, sl = self.held[:, self.k : self.k + take.size]
+                n[:], r[:], u[:], sl[:] = take + start, ratio[take], upper, slot[take]
+                self.k += take.size
+                if self.k == REDO_BATCH:
+                    self.flush()
+
+    def flush(self):
+        n, ratio, upper, slot = self.held[:, : self.k]
+        self.k, lnln = 0, np.log(np.log(n))
+        for c in self.per_n:
+            self.s.exceed[c] += int(np.count_nonzero((ratio > c * lnln) & (ratio <= c * upper)))
+        if self.s.hist is not None:
+            gap = np.log(np.maximum(ratio, TINY))
+            t = np.floor((gap - np.log(lnln) - HIST_LO) * HIST_INV_WIDTH)
+            for slots, sign in ((np.clip(t, -1, HIST_BINS) + 1, 1), (slot, -1)):
+                self.s.hist += sign * np.bincount(slots.astype(np.int64), minlength=HIST_BINS + 2)
 
 
 def merge_summaries(s1: ScanSummary, s2: ScanSummary) -> ScanSummary:
@@ -472,8 +512,8 @@ def merge_summaries(s1: ScanSummary, s2: ScanSummary) -> ScanSummary:
 
 def theoretical_density(c: float) -> float:
     """Limit density 1 - exp(-1/c) of integers whose ratio exceeds c ln ln n."""
-    if c <= 0:
-        raise ValueError(f"c must be > 0, got {c}")
+    if not 0 < c < math.inf:  # NaN fails both
+        raise ValueError(f"c must be finite and > 0, got {c}")
     return -math.expm1(-1.0 / c)
 
 
@@ -483,8 +523,8 @@ def partial_alternating_sum(c: float, K: int) -> float:
     Even K overshoots exp(-1/c), odd K undershoots; consecutive partial
     sums bracket the limit.
     """
-    if c <= 0:
-        raise ValueError(f"c must be > 0, got {c}")
+    if not 0 < c < math.inf:  # NaN fails both
+        raise ValueError(f"c must be finite and > 0, got {c}")
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
     s = 1.0

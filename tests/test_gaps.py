@@ -285,7 +285,9 @@ def table_2_53():
     return table, _sieving_primes(table, MAX_SCAN_END)
 
 
-@pytest.mark.parametrize("lo,hi", [(2**53 - 2**17, 2**53), (10**15, 10**15 + 2**17)])
+@pytest.mark.parametrize(
+    "lo,hi", [(2**53 - 2**17, 2**53), (10**15, 10**15 + 2**17), (10**12, 10**12 + 2**17)]
+)
 def test_kernel_matches_sympy_reference(monkeypatch, table_2_53, lo, hi):
     # one segment of two sub-blocks, bitwise equal to one sub-block, where
     # an offset error in the tile or the strided primes would show; its 64
@@ -307,6 +309,21 @@ def test_kernel_matches_sympy_reference(monkeypatch, table_2_53, lo, hi):
         i = n - lo
         want_prod, want_cof, want_last, want_ratio = sympy_state(n, root)
         assert (prod[i], cof[i], last_log[i]) == (want_prod, want_cof, want_last), n
+        assert abs(max_ratio[i] - want_ratio) <= math.ulp(want_ratio), n
+
+
+@settings(max_examples=15, deadline=None)
+@given(lo=st.integers(10**12, MAX_SCAN_END - 64), length=st.integers(1, 64))
+@example(lo=MAX_SCAN_END - 64, length=64)
+def test_kernel_matches_sympy_far(table_2_53, lo, length):
+    # short windows anywhere from 1e12 to 2**53 against sympy, over the
+    # table to isqrt(2**53 - 1): the kernel's primes stop at each window's root
+    table, sieving = table_2_53
+    cof, last_log, max_ratio = sieve_fresh(lo, lo + length, table, sieving=sieving)
+    root = math.isqrt(lo + length - 1)
+    for i, n in enumerate(range(lo, lo + length)):
+        prod, want_cof, want_last, want_ratio = sympy_state(n, root)
+        assert (cof[i], last_log[i]) == (want_cof, want_last), n
         assert abs(max_ratio[i] - want_ratio) <= math.ulp(want_ratio), n
 
 
@@ -438,11 +455,11 @@ def test_workspace_footprint():
 
 
 def test_default_workspace_footprint():
-    # 24 B per integer plus the loop's scratch and the post-pass block
-    # buffers, ramp and two masks, which do not grow with the segment
+    # 24 B per integer plus the post-pass block buffers, ramp and two
+    # masks, which do not grow with the segment
     size = gaps_module.DEFAULT_SEGMENT_SIZE
     block = min(gaps_module.POST_BLOCK, size)
-    assert workspace_bytes(size) <= 24 * size + 8 * -(-size // 17) + 42 * block
+    assert workspace_bytes(size) <= 24 * size + 42 * block
     assert workspace_bytes(size) <= 8 * 2**20
 
 
@@ -803,6 +820,132 @@ def test_exceedance_only_summary_refuses_moments_and_mixing(table_small):
     assert exceedances_equal(merge_summaries(only, after), both)
 
 
+# ---------------------------------------------------------------- block bounds and the redo set
+
+
+def reference_scan(a, b, thresholds, table, mode=MODE_PER_N, segment_size=1 << 18):
+    """(eligible, exceed, hist) of [a, b) by the per-integer float
+    operations on the blocks of gaps._walk: ln ln n for every n, compared
+    as c * ln ln n (per-n) or against c * ln ln (b - 1), and binned with
+    ln ln ln n taken from it."""
+    exceed = dict.fromkeys(sorted(set(map(float, thresholds))), 0)
+    top = math.log(math.log(b - 1))
+    eligible, hist = 0, np.zeros(gaps_module.HIST_BINS + 2, dtype=np.int64)
+    for _, _, n, _, ratio, _ in gaps_module._walk(a, b, table, segment_size):
+        lnln = np.log(np.log(n))
+        eligible += int(np.count_nonzero(ratio > 0))
+        for c in exceed:
+            bound = c * lnln if mode == MODE_PER_N else c * top
+            exceed[c] += int(np.count_nonzero(ratio > bound))
+        t = np.log(np.maximum(ratio, gaps_module.TINY))
+        t -= np.log(lnln)
+        t -= gaps_module.HIST_LO
+        t *= gaps_module.HIST_INV_WIDTH
+        slots = np.clip(np.floor(t), -1, gaps_module.HIST_BINS) + 1
+        hist += np.bincount(slots.astype(np.int64), minlength=hist.size)
+        hist[0] -= int(np.count_nonzero(ratio == 0))
+    return eligible, exceed, hist
+
+
+def check_against_reference(a, b, thresholds, table, mode, segment_size=1 << 18):
+    eligible, exceed, hist = reference_scan(a, b, thresholds, table, mode, segment_size)
+    for distribution in (True, False):
+        got = scan_range(a, b, thresholds, table, mode, segment_size=segment_size,
+                         distribution=distribution)
+        assert (got.eligible, got.exceed) == (eligible, exceed), (a, b, distribution)
+        assert got.hist is None if not distribution else np.array_equal(got.hist, hist)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a=st.one_of(st.integers(16, 10**6), NEAR_2_31),
+    length=st.integers(1, 3000),
+    segment_size=st.integers(1, 5000),
+    mode=st.sampled_from([MODE_PER_N, MODE_PER_RANGE]),
+    thresholds=st.lists(st.floats(0.05, 8.0), min_size=1, max_size=4),
+    block=st.sampled_from([1, 7, 64, 4096, 2**15]),
+    batch=st.sampled_from([1, 3, 64, 2**12]),
+)
+@example(a=16, length=3000, segment_size=5000, mode=MODE_PER_N, thresholds=[0.5, 1.0, 2.0],
+         block=2**15, batch=64)
+@example(a=2**31 - 1500, length=3000, segment_size=2000, mode=MODE_PER_RANGE,
+         thresholds=[1.0], block=7, batch=3)
+@example(a=10**5, length=3000, segment_size=5000, mode=MODE_PER_N, thresholds=[1.0],
+         block=2**15, batch=2**12)  # bounds 0.021 bins apart
+def test_block_bounds_equal_per_integer_scan(
+    a, length, segment_size, mode, thresholds, block, batch
+):
+    # at any post-pass block length and redo batch, with and without the
+    # histogram: the per-integer outcomes, where the first blocks above 16
+    # leave most n open and later ones a few
+    b = min(a + length, 2**31 + 300)
+    gaps_module._scan_workspace.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gaps_module, "POST_BLOCK", block)
+            mp.setattr(gaps_module, "REDO_BATCH", batch)
+            check_against_reference(a, b, thresholds, TABLE_5E4, mode, segment_size)
+    finally:
+        gaps_module._scan_workspace.cache_clear()
+
+
+def near_tie_thresholds(r, lnln, lnln_math):
+    """The c whose per-integer bound fl(c * lnln) is the nearest double
+    above ratio r, and the nearest below, found among the doubles near
+    r / lnln; and, where np.log's ln ln n differs from math.log's, a c
+    whose two bounds fall on either side of r."""
+    c0 = r / lnln
+    cs = [c0]
+    for direction in (math.inf, -math.inf):
+        c = c0
+        for _ in range(16):
+            c = math.nextafter(c, direction)
+            cs.append(c)
+    above = min((c for c in cs if c * lnln > r), key=lambda c: c * lnln)
+    below = max((c for c in cs if c * lnln < r), key=lambda c: c * lnln)
+    split = [c for c in cs if (r > c * lnln) != (r > c * lnln_math)]
+    return [above, below] + split[:1]
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(16, 2**16), (2**31 - 2**12, 2**31 + 2**12), (10**12, 10**12 + 2**13),
+     (2**53 - 2**16, 2**53 - 2**16 + 2**12)],
+)
+def test_near_tie_thresholds(monkeypatch, table_2_53, lo, hi):
+    # per chosen n, c * np.log(np.log(n)) one double above and one below
+    # ratio(n): the whole window with every such c against the per-integer
+    # scan; each n where np.log's ln ln n differs from math.log's, which
+    # the block bounds start from, alone as a block of its own, with a c
+    # that splits the two (REDO_EPS is what covers it)
+    table, (primes, logs) = table_2_53
+
+    def sieving_primes(table, b):  # _sieving_primes, from the logs made once
+        k = np.searchsorted(primes, math.isqrt(b - 1), "right")
+        return primes[:k], logs[:k]
+
+    monkeypatch.setattr(gaps_module, "_sieving_primes", sieving_primes)
+    blocks = [(n.copy(), r.copy()) for _, _, n, _, r, _ in gaps_module._walk(lo, hi, table, 2**18)]
+    n, ratio = (np.concatenate(x) for x in zip(*blocks))
+    lnln = np.log(np.log(n))
+    lnln_math = np.array([math.log(math.log(int(m))) for m in n])
+    eligible = ratio > 0
+    differ = np.flatnonzero(eligible & (lnln != lnln_math))
+    chosen = np.concatenate((differ, np.flatnonzero(eligible)[:: max(1, eligible.sum() // 6)]))
+    thresholds, splits = [], 0
+    for i in chosen:
+        cs = near_tie_thresholds(float(ratio[i]), float(lnln[i]), float(lnln_math[i]))
+        thresholds += cs[:2]
+        if i in differ and len(cs) == 3:
+            splits += 1
+            m = int(n[i])
+            want = reference_scan(m, m + 1, cs, table)[1]
+            assert scan_range(m, m + 1, cs, table).exceed == want, m
+    check_against_reference(lo, hi, thresholds, table, MODE_PER_N)
+    if lo < 2**53 - 2**16:  # np.log and math.log agree on the 4096 n there
+        assert splits > 0
+
+
 def workspace_spy(monkeypatch):
     """Record each _Workspace the scans build, starting from none kept."""
     built = []
@@ -867,6 +1010,17 @@ def test_partial_alternating_sum_values():
         partial_alternating_sum(-1.0, 3)
     with pytest.raises(ValueError):
         partial_alternating_sum(1.0, -1)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0])
+def test_non_finite_or_non_positive_c_is_refused(table_small, c):
+    # a NaN threshold once counted every eligible n as exceeding it
+    with pytest.raises(ValueError, match="finite"):
+        scan_range(16, 10_000, [c, 1.0], table_small)
+    with pytest.raises(ValueError, match="finite"):
+        theoretical_density(c)
+    with pytest.raises(ValueError, match="finite"):
+        partial_alternating_sum(c, 3)
 
 
 @pytest.mark.parametrize("c", [0.25, 0.5, 1.0, 2.0, 4.0])
