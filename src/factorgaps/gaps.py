@@ -33,7 +33,9 @@ _GUMBEL = np.array([math.exp(-math.exp(-u)) for u in _EDGES])  # libm, not numpy
 _MIDS = HIST_LO + (np.arange(HIST_BINS) + 0.5) * HIST_WIDTH
 
 MAX_SEGMENT_SIZE = 1 << 22  # bounds the workspace: 24 B per integer, 96 MiB
-DEFAULT_SEGMENT_SIZE = 1 << 18  # a 7.3 MiB workspace; 2**17 scans slower, 2**19 no faster
+# a 7.3 MiB workspace; 2**17 scans slower, and 2**19 no faster for 5.5 MiB more
+# peak RSS: [16, 1e8) took 2.30 against 2.26 s of CPU and 44.2 against 38.7 MiB
+DEFAULT_SEGMENT_SIZE = 1 << 18
 # the first powers of the primes above min(PASS_FLOOR, segment length) take one
 # vectorized pass; the powers p**k, k >= 2, of every prime take their own steps
 PASS_FLOOR = 1 << 14
@@ -147,16 +149,28 @@ class ScanSummary:
         return (self.thresholds, self.mode, self.range_point, self.hist is not None)
 
 
-def _sieving_primes(table: PrimeTable, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes up to sqrt(b - 1) and their logs, for sieving below b, as
-    arrays; the logs come from math.log, as in gap_profile."""
+def _sieving_primes(table: PrimeTable, b: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The state for sieving below b: the primes up to sqrt(b - 1) and
+    their logs (slices of the table's, which come from math.log as in
+    gap_profile), and the strided loop's :func:`_operands`."""
     root = isqrt(b - 1)
     if table.limit < root:
         raise InsufficientTableError(
             f"table limit {table.limit} < required sqrt bound {root}"
         )
-    primes = table.primes[: np.searchsorted(table.primes, root, "right")]
-    return primes, np.fromiter(map(math.log, primes.astype(float)), float, primes.size)
+    end = int(np.searchsorted(table.primes, root, "right"))
+    primes, logs = table.primes[:end], table.logs[:end]
+    return primes, logs, _operands(primes, logs)
+
+
+def _operands(primes, logs):
+    """Per prime up to PASS_FLOOR, the operands of its strided pass: p, then
+    float(p) and log p as 0-d float64 views. A ufunc takes these as they
+    are, where it converts a Python float on every call (431 against 299 ns
+    per np.multiply on a 52-integer strip)."""
+    m = int(np.searchsorted(primes, PASS_FLOOR, "right"))
+    fl = np.stack((primes[:m].astype(float), logs[:m]), axis=1)
+    return [(p, fl[i, 0, ...], fl[i, 1, ...]) for i, p in enumerate(primes[:m].tolist())]
 
 
 PRESIEVE_PRIMES = (2, 3, 5, 7, 11, 13)  # their product is 30030
@@ -215,7 +229,7 @@ def _scan_workspace(size: int) -> _Workspace:
     return _Workspace(size)
 
 
-def _sieve_segment(lo, hi, primes, logs, ws):
+def _sieve_segment(lo, hi, primes, logs, operands, ws):
     """Segmented sieve of [lo, hi) by the primes up to sqrt(hi - 1).
 
     Leaves in ``ws``, for :func:`_finish_blocks`: prod, the product of
@@ -251,8 +265,8 @@ def _sieve_segment(lo, hi, primes, logs, ws):
         sub = [a[j : j + SIEVE_BLOCK] for a in (prod, last_log, max_ratio)]
         for out, period in zip(sub, pattern):
             _tile(out, period, (lo + j) % period.size)
-        _strike(lo + j, primes[k:near], logs[k:near], *sub)
-    _strike(lo, primes[near:cut], logs[near:cut], prod, last_log, max_ratio)
+        _strike(lo + j, primes[k:near], operands[k:near], *sub)
+    _strike(lo, primes[near:cut], operands[near:cut], prod, last_log, max_ratio)
     struck = _large_prime_pass(lo, primes[cut:end], logs[cut:end], prod, last_log, max_ratio)
     # only a prime that strikes the segment can strike it with p**k
     big = np.concatenate((primes[:cut], struck))
@@ -271,21 +285,22 @@ def _sieve_segment(lo, hi, primes, logs, ws):
         big, d = big[keep], d[keep] * big[keep]
 
 
-def _strike(lo, primes, logs, prod, last_log, max_ratio):
-    """The first powers of ``primes`` (ascending, all above 13) on the
-    strip of prod, last_log and max_ratio starting at ``lo``, one strided
-    pass per prime; each ratio goes into the last_log strip it replaces."""
+def _strike(lo, primes, operands, prod, last_log, max_ratio):
+    """The first powers of ``primes`` (ascending, all above 13), with
+    their :func:`_operands`, on the strip of prod, last_log and max_ratio
+    starting at ``lo``, one strided pass per prime; each ratio goes into
+    the last_log strip it replaces."""
     starts = ((-lo) % primes).tolist()
-    as_float = primes.astype(float).tolist()  # prod *= a float skips int conversion
-    for p, fp, lp, start in zip(primes.tolist(), as_float, logs.tolist(), starts):
+    maximum, divide, multiply = np.maximum, np.divide, np.multiply  # not looked up per prime
+    for (p, fp, lp), start in zip(operands, starts, strict=True):
         if start >= prod.size:
             continue
         ll = last_log[start::p]
         mr = max_ratio[start::p]
-        np.maximum(mr, np.divide(lp, ll, out=ll), out=mr)
+        maximum(mr, divide(lp, ll, out=ll), out=mr)
         ll.fill(lp)
         pr = prod[start::p]
-        np.multiply(pr, fp, out=pr)
+        multiply(pr, fp, out=pr)
 
 
 def _large_prime_pass(lo, primes, logs, prod, last_log, max_ratio):
@@ -344,11 +359,11 @@ def _walk(a, b, table, segment_size):
     buffers), the block's first integer, n, the cofactor, max_ratio and
     last_log. Not re-entrant: every walk in a process sieves into the one
     workspace of :func:`_scan_workspace`, which the next block overwrites."""
-    primes, logs = _sieving_primes(table, b)
+    sieving = _sieving_primes(table, b)
     ws = _scan_workspace(min(segment_size, b - a))
     for lo in range(a, b, segment_size):
         hi = min(lo + segment_size, b)
-        _sieve_segment(lo, hi, primes, logs, ws)
+        _sieve_segment(lo, hi, *sieving, ws)
         for sl, n, cof, ratio in _finish_blocks(lo, hi, ws):
             yield ws, lo + sl.start, n, cof, ratio, ws.last_log[sl]
 

@@ -9,7 +9,8 @@ for single integers that must be decided exactly, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, isqrt
+from functools import cached_property
+from math import floor, isqrt, log
 from typing import Iterator, Optional
 
 import numpy as np
@@ -56,6 +57,13 @@ class PrimeTable:
 
     def __len__(self) -> int:
         return len(self.primes)
+
+    @cached_property
+    def logs(self) -> np.ndarray:
+        """The primes' logs, from math.log as in gap_profile, made at the
+        first use and kept: every scan or direct count over this table
+        slices them."""
+        return np.fromiter(map(log, self.primes.astype(float)), float, self.primes.size)
 
 
 def build_prime_table(limit: int) -> PrimeTable:

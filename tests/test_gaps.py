@@ -19,6 +19,7 @@ from factorgaps import (
 )
 from factorgaps import gaps as gaps_module
 from factorgaps import boundary, counting, oracle
+from factorgaps import sieve as sieve_module
 from factorgaps.gaps import (
     MAX_SCAN_END,
     MODE_PER_N,
@@ -312,6 +313,29 @@ def test_kernel_matches_sympy_reference(monkeypatch, table_2_53, lo, hi):
         assert abs(max_ratio[i] - want_ratio) <= math.ulp(want_ratio), n
 
 
+def test_table_logs_made_once(monkeypatch):
+    # one math.log call per prime, whatever the walks; both slice one array
+    calls = []
+
+    def log(x):
+        calls.append(x)
+        return math.log(x)
+
+    monkeypatch.setattr(sieve_module, "log", log)
+    table = build_prime_table(10_000)
+    first, second = (_sieving_primes(table, b)[1] for b in (10**6, 10**8))
+    assert len(calls) == len(table) == 1229
+    assert np.shares_memory(first, table.logs) and np.shares_memory(second, table.logs)
+    scan_range(10**7, 10**7 + 5000, [1.0], table)
+    assert len(calls) == len(table)
+
+
+def test_table_logs_are_math_log(table_small, table_2_53):
+    for table in (table_small, table_2_53[0]):
+        want = np.fromiter(map(math.log, table.primes.tolist()), float, len(table))
+        assert table.logs.tobytes() == want.tobytes()
+
+
 @settings(max_examples=15, deadline=None)
 @given(lo=st.integers(10**12, MAX_SCAN_END - 64), length=st.integers(1, 64))
 @example(lo=MAX_SCAN_END - 64, length=64)
@@ -338,6 +362,65 @@ def test_large_prime_pass_equals_the_loop(monkeypatch, floor, lo, hi):
     monkeypatch.setattr(gaps_module, "PASS_FLOOR", floor)
     got = sieve_fresh(lo, hi, TABLE_5E4)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def strike_with_floats(lo, primes, operands, prod, last_log, max_ratio):
+    """The strided loop with Python floats, p and math.log(p), which every
+    ufunc call converts: the bits the operand table must give."""
+    assert len(operands) == len(primes)
+    for p in primes.tolist():
+        start = -lo % p
+        if start >= prod.size:
+            continue
+        lp = math.log(p)
+        ll = last_log[start::p]
+        mr = max_ratio[start::p]
+        np.maximum(mr, np.divide(lp, ll, out=ll), out=mr)
+        ll.fill(lp)
+        pr = prod[start::p]
+        np.multiply(pr, float(p), out=pr)
+
+
+def sieved_state(lo, hi, size):
+    """prod, last_log and max_ratio as _sieve_segment leaves them, over
+    [lo, hi) in segments of ``size``, the parts joined."""
+    ws, sieving, parts = _Workspace(size), _sieving_primes(TABLE_5E4, hi), []
+    for s in range(lo, hi, size):
+        _sieve_segment(s, min(s + size, hi), *sieving, ws)
+        parts.append([a[: min(s + size, hi) - s].copy() for a in (ws.prod, ws.last_log, ws.max_ratio)])
+    return [np.concatenate(a) for a in zip(*parts)]
+
+
+@pytest.mark.parametrize(
+    "lo,hi,size",
+    [
+        (100, 169, 69),  # root below 13: the tile alone
+        (10**6, 10**6 + 3000, 3000),
+        (2**31 - 2000, 2**31 + 2000, 4000),
+        (10**8 + 4321, 10**8 + 4321 + 2**17 + 5000, 2**17),  # a tail shorter than a sub-block
+    ],
+)
+def test_operands_change_no_bit(monkeypatch, lo, hi, size):
+    # the 0-d float64 operands give the bits that Python floats gave
+    want = sieved_state(lo, hi, size)
+    monkeypatch.setattr(gaps_module, "_strike", strike_with_floats)
+    got = sieved_state(lo, hi, size)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_walk_builds_operands_once(monkeypatch):
+    built, build = [], gaps_module._operands
+
+    def spy(primes, logs):
+        built.append(primes.size)
+        return build(primes, logs)
+
+    monkeypatch.setattr(gaps_module, "_operands", spy)
+    got = scan_range(16, 16 + 3 * 4096 + 100, [1.0], TABLE_5E4, segment_size=4096)
+    assert built == [29]  # the primes up to isqrt(12403) = 111, once for 4 segments
+    monkeypatch.undo()
+    assert summaries_equal(got, scan_range(16, 16 + 3 * 4096 + 100, [1.0], TABLE_5E4))
 
 
 WINDOWS = st.one_of(
@@ -912,19 +995,13 @@ def near_tie_thresholds(r, lnln, lnln_math):
     [(16, 2**16), (2**31 - 2**12, 2**31 + 2**12), (10**12, 10**12 + 2**13),
      (2**53 - 2**16, 2**53 - 2**16 + 2**12)],
 )
-def test_near_tie_thresholds(monkeypatch, table_2_53, lo, hi):
+def test_near_tie_thresholds(table_2_53, lo, hi):
     # per chosen n, c * np.log(np.log(n)) one double above and one below
     # ratio(n): the whole window with every such c against the per-integer
     # scan; each n where np.log's ln ln n differs from math.log's, which
     # the block bounds start from, alone as a block of its own, with a c
     # that splits the two (REDO_EPS is what covers it)
-    table, (primes, logs) = table_2_53
-
-    def sieving_primes(table, b):  # _sieving_primes, from the logs made once
-        k = np.searchsorted(primes, math.isqrt(b - 1), "right")
-        return primes[:k], logs[:k]
-
-    monkeypatch.setattr(gaps_module, "_sieving_primes", sieving_primes)
+    table, _ = table_2_53
     blocks = [(n.copy(), r.copy()) for _, _, n, _, r, _ in gaps_module._walk(lo, hi, table, 2**18)]
     n, ratio = (np.concatenate(x) for x in zip(*blocks))
     lnln = np.log(np.log(n))
