@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import os
@@ -653,6 +654,8 @@ HANDLERS = {
 
 
 def main(argv=None, stdout=None) -> int:
+    # the imports' heap lives to the end: no collection, at exit or in a worker, walks it
+    gc.freeze()
     stdout = stdout or sys.stdout
     try:
         ns = build_parser().parse_args(argv)

@@ -16,15 +16,15 @@ than an E-th power):
 
 and truncating the sum at even (odd) omega gives an upper (lower)
 bound. Everything here is computed exactly, as integer counts, with the
-window-boundary comparisons of :mod:`factorgaps.boundary`.
+window-boundary comparisons of :mod:`factorgaps.boundary`. The results,
+down to each member of the wide set, are immutable NamedTuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby, islice
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ from .sieve import (
 )
 
 
-@dataclass(frozen=True)
-class CountParams:
+class CountParams(NamedTuple):
     """Derived parameters of one counting run.
 
     gap_exp is E = c * ln ln x; small_prime_bound is min(x**(1/E), x).
@@ -78,8 +77,7 @@ def is_gap_form(fact: Factorization, pars: CountParams) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class DirectCounts:
+class DirectCounts(NamedTuple):
     """N(x) evaluated from the definition, next to its gap-form variant.
 
     n is counted iff it is gap-form and not smooth (n >= 2 with every
@@ -133,8 +131,7 @@ def direct_counts(pars: CountParams, table: PrimeTable) -> DirectCounts:
     )
 
 
-@dataclass(frozen=True)
-class WideSquarefree:
+class WideSquarefree(NamedTuple):
     """A squarefree integer whose prime factors are all small and
     pairwise separated by more than an E-th power."""
 
@@ -177,10 +174,10 @@ def wide_squarefree_set(pars: CountParams, table: PrimeTable) -> list[WideSquare
         if p * p < x else len(yprimes)
         for i, p in enumerate(yprimes)
     ]
-    out = []
+    layers: list[list[WideSquarefree]] = [[] for _ in range(x.bit_length())]  # by omega
 
     def extend(prod: int, chain: tuple[int, ...], start: int):
-        out.append(WideSquarefree(m=prod, primes=chain))
+        layers[len(chain)].append(WideSquarefree(m=prod, primes=chain))
         for i in range(start, len(yprimes)):
             q = yprimes[i]
             if prod * q > x:
@@ -188,8 +185,10 @@ def wide_squarefree_set(pars: CountParams, table: PrimeTable) -> list[WideSquare
             extend(prod * q, chain + (q,), ends[i])
 
     extend(1, (), 0)
-    out.sort(key=lambda w: (w.k, w.m))
-    return out
+    del extend  # it refers to itself: the cycle would keep layers to a collection
+    for layer in layers:
+        layer.sort()  # a layer's members differ in m, their first field
+    return [w for layer in layers for w in layer]
 
 
 def _unmarked(qs: np.ndarray, limit: int) -> int:
@@ -240,8 +239,7 @@ def count_isolated_set(m: WideSquarefree, pars: CountParams, table: PrimeTable) 
     return inner_counts([m], pars, table)[0]
 
 
-@dataclass(frozen=True)
-class LayerCount:
+class LayerCount(NamedTuple):
     """One inclusion-exclusion layer: all wide squarefree m with omega(m)
     = k, their number, the summed inner counts, and fsum of 1/m (S_k)."""
 
@@ -251,8 +249,7 @@ class LayerCount:
     recip_sum: float
 
 
-@dataclass(frozen=True)
-class CountBreakdown:
+class CountBreakdown(NamedTuple):
     """Direct count, per-layer counts, truncation bounds, and the
     alternating total, for one (x, c)."""
 

@@ -5,8 +5,9 @@ statistic is
 
     gap(n) = ln( max_j  ln p_{j+1} / ln p_j ),
 
-undefined (None) when w <= 1. ``scan_range`` aggregates the statistic
-over an integer range [a, b) into a :class:`ScanSummary`. All its
+undefined (None) when w <= 1; :class:`GapProfile`, one integer's statistic,
+and :class:`DensityReport` are immutable NamedTuples. ``scan_range`` aggregates
+the statistic over an integer range [a, b) into a :class:`ScanSummary`. All its
 accumulators are integer counts, so the summaries of neighbouring ranges
 merge exactly: folding the parts of any partition in order reproduces the
 direct scan bit for bit, regardless of segmentation or worker count.
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -59,8 +60,7 @@ class EmptySampleError(Exception):
     """A density was requested from a summary with no eligible integers."""
 
 
-@dataclass(frozen=True)
-class GapProfile:
+class GapProfile(NamedTuple):
     """Gap statistic of a single integer.
 
     ``ratio`` is the largest quotient of logs of consecutive distinct
@@ -550,8 +550,7 @@ def partial_alternating_sum(c: float, K: int) -> float:
     return s
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Empirical exceedance density against the limiting law for one c."""
 
     c: float

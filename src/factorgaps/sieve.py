@@ -2,7 +2,8 @@
 
 The scan kernel (:mod:`factorgaps.gaps`) sieves its own segments from a
 :class:`PrimeTable`. :func:`factorize` is the one factorizer beside it,
-for single integers that must be decided exactly, and
+for single integers that must be decided exactly; its
+:class:`Factorization` is an immutable NamedTuple, and
 :mod:`factorgaps.oracle` is the independent reference for both.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import floor, isqrt, log
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -22,8 +23,7 @@ class InsufficientTableError(Exception):
     """The prime table does not reach far enough for the request."""
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """An integer n >= 1 with its prime factorization.
 
     ``factors`` lists (prime, exponent) pairs with strictly increasing

@@ -379,6 +379,26 @@ def test_import_pins_openblas_unless_set(given, want):
         assert threads == "1"
 
 
+def test_main_freezes_the_import_heap():
+    # importing leaves the collector alone; main moves what the imports built
+    # to the permanent generation, and prints what the module entry prints
+    code = (
+        "import gc, io, factorgaps.cli as cli; frozen = gc.get_freeze_count(); "
+        "buf = io.StringIO(); rc = cli.main(['count', '--x', '3000', '--c', '1'], stdout=buf); "
+        "print(frozen, gc.get_freeze_count() > 0, rc); print(buf.getvalue(), end='')"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+    head, body = res.stdout.split(b"\n", 1)
+    assert head == b"0 True 0"
+    ref = subprocess.run(
+        [sys.executable, "-m", "factorgaps.cli", "count", "--x", "3000", "--c", "1"],
+        capture_output=True, env=env, check=True,
+    )
+    assert body == ref.stdout and b"identity_check" in body
+
+
 def test_export_list_resolves():
     import factorgaps
 
