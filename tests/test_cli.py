@@ -685,6 +685,11 @@ STDOUT_DIGESTS = {
     "density --min 16 --max 300000 --c 0.25,0.5,1,2,4": "9a02f2198f7cc873",
     "density --min 16 --max 300000 --c 0.25,0.5,1,2,4 --mode range --format csv":
         "3718bcd5bbf056e1",
+    "density --min 16 --max 300000 --c 0.25,0.5,1,2,4 --mode range": "1b3a72326169d80d",
+    "density --min 16 --max 300000 --c 0.25,0.5,1,2,4 --format csv": "582e6f252493eb5d",
+    # partial sums past K = 1 overflow: null in JSON, inf and nan in CSV
+    "density --min 16 --max 1000 --c 1e-300": "38fc4d14362b0a36",
+    "density --min 16 --max 1000 --c 1e-300 --format csv": "8484352f88031e32",
     "count --x 100000 --c 1": "8c873b568ca9e0b9",
     "count --x 100000 --c 0.5": "fbcd0a9e27fd1749",
     "count --x 100000 --c 2": "280b056973718ea6",
