@@ -18,7 +18,6 @@ import math
 
 from factorgaps import (
     build_prime_table,
-    empirical_density,
     partial_alternating_sum,
     scan_range,
     theoretical_density,
@@ -40,14 +39,13 @@ def density_table(max_exp):
     print("  limit    " + "".join(f"{theoretical_density(c):>12.5f}" for c in CS))
     for e in range(5, max_exp + 1):
         s = scan_range(16, 10**e, CS, table)
-        row = "".join(f"{empirical_density(s, c).empirical:>12.5f}" for c in CS)
+        row = "".join(f"{s.exceed[c] / s.eligible:>12.5f}" for c in CS)
         print(f"  1e{e}      {row}")
     print()
     print("  deviations (empirical - limit) at the largest x:")
     s = scan_range(16, 10**max_exp, CS, table)
     for c in CS:
-        rep = empirical_density(s, c)
-        print(f"    c = {c:<5}: {rep.deviation:+.5f}")
+        print(f"    c = {c:<5}: {s.exceed[c] / s.eligible - theoretical_density(c):+.5f}")
     print()
     print("  convergence is triple-logarithmic: even at x = 1e9 the scale")
     print("  ln ln ln x is only about 1.06, so the deviations above are the")
@@ -64,7 +62,7 @@ def far_windows():
     print("  limit    " + "".join(f"{theoretical_density(c):>12.5f}" for c in FAR_CS))
     for k in FAR_EXPS:
         s = scan_range(10**k, 10**k + FAR_WIDTH, FAR_CS, table, distribution=False)
-        row = "".join(f"{empirical_density(s, c).empirical:>12.5f}" for c in FAR_CS)
+        row = "".join(f"{s.exceed[c] / s.eligible:>12.5f}" for c in FAR_CS)
         print(f"  1e{k:<2}     {row}")
     print()
     print("  from 1e8 to 1e15, ln ln ln n only moves from 1.07 to 1.27.")

@@ -16,21 +16,14 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .sieve import (
-    Factorization,
     InsufficientTableError,
-    PrimeTable,
     build_prime_table,
     factorize,
     primes_in_interval,
     primes_in_power_interval,
 )
 from .gaps import (
-    DEFAULT_SEGMENT_SIZE,
-    DensityReport,
     EmptySampleError,
-    GapProfile,
-    ScanSummary,
-    empirical_density,
     gap_profile,
     merge_summaries,
     partial_alternating_sum,
@@ -38,11 +31,6 @@ from .gaps import (
     theoretical_density,
 )
 from .counting import (
-    CountBreakdown,
-    CountParams,
-    DirectCounts,
-    LayerCount,
-    WideSquarefree,
     count_isolated_set,
     direct_counts,
     inclusion_exclusion,
@@ -57,29 +45,17 @@ from .counting import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_SEGMENT_SIZE",
-    "Factorization",
     "InsufficientTableError",
-    "PrimeTable",
     "build_prime_table",
     "factorize",
     "primes_in_interval",
     "primes_in_power_interval",
-    "DensityReport",
     "EmptySampleError",
-    "GapProfile",
-    "ScanSummary",
-    "empirical_density",
     "gap_profile",
     "merge_summaries",
     "partial_alternating_sum",
     "scan_range",
     "theoretical_density",
-    "CountBreakdown",
-    "CountParams",
-    "DirectCounts",
-    "LayerCount",
-    "WideSquarefree",
     "count_isolated_set",
     "direct_counts",
     "inclusion_exclusion",

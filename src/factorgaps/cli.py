@@ -40,14 +40,15 @@ from .gaps import (
     MODE_PER_N,
     MODE_PER_RANGE,
     EmptySampleError,
-    empirical_density,
     merge_summaries,
+    partial_alternating_sum,
     scan_range,
     theoretical_density,
 )
 from .sieve import InsufficientTableError, build_prime_table, factorize
 
 COUNT_X_GUARD = 100_000_000
+WIDE_ALL_X_GUARD = 10_000_000  # count and enumerate-m where E <= 1
 VERIFY_GRID_X = (30, 100, 300, 1000, 2000)
 VERIFY_GRID_C = (0.5, 1.0, 2.0)
 DEFAULT_SEED = 20
@@ -106,8 +107,17 @@ class RunConfig:
                 raise UsageError(f"--x {self.x} is too large: need x + 1 <= 2**53")
         if not all(math.isfinite(c) and c > 0 for c in self.c_values):
             raise UsageError("all c values must be finite and > 0")
-        if self.x is not None and math.isinf(boundary.gap_exponent(self.x, self.c_values[0])):
-            raise UsageError(f"--c {self.c_values[0]} overflows E = c ln ln x")
+        if self.x is not None:
+            e = boundary.gap_exponent(self.x, self.c_values[0])
+            if math.isinf(e):
+                raise UsageError(f"--c {self.c_values[0]} overflows E = c ln ln x")
+            # E <= 1 empties every window, so every squarefree m <= x is wide:
+            # about 0.61 x members, and count peaked at 392 MiB of RSS at x = 3e6
+            if e <= 1 and self.x > WIDE_ALL_X_GUARD:
+                raise MemoryError(
+                    f"E = c ln ln x = {fmt_real(e)} <= 1 makes all squarefree m <= x "
+                    f"wide, too many to hold past --x {WIDE_ALL_X_GUARD}"
+                )
         if self.subcommand == "verify" and self.x_max < VERIFY_GRID_X[0]:
             raise UsageError(f"--x-max must be >= {VERIFY_GRID_X[0]}, the smallest grid x")
         if self.workers < 1:
@@ -277,29 +287,26 @@ def cmd_density(cfg: RunConfig, stdout) -> int:
     exceedances are counted; the histogram and law of t(n) are scan's."""
     per_n = run_scan(cfg, distribution=False, mode=MODE_PER_N)
     per_range = run_scan(cfg, distribution=False, mode=MODE_PER_RANGE)
+    if not per_n.eligible:
+        raise EmptySampleError(f"no eligible integers in [{cfg.lo}, {cfg.hi})")
+    cols = ("c", "empirical", "empirical_per_n", "empirical_per_range", "theoretical", "deviation")
     rows = []
-    for c in sorted(set(cfg.c_values)):
-        rep_n = empirical_density(per_n, c)
-        rep_r = empirical_density(per_range, c)
-        configured = rep_n if cfg.mode == MODE_PER_N else rep_r
-        rows.append(
-            {
-                "c": c,
-                "empirical": configured.empirical,
-                "empirical_per_n": rep_n.empirical,
-                "empirical_per_range": rep_r.empirical,
-                "theoretical": configured.theoretical,
-                "deviation": configured.deviation,
-                "partial_sums": list(configured.partial_sums),
-            }
-        )
+    for c in per_n.thresholds:
+        emp_n, emp_r = (s.exceed[c] / s.eligible for s in (per_n, per_range))
+        emp = emp_n if cfg.mode == MODE_PER_N else emp_r
+        theo = theoretical_density(c)
+        sums = [partial_alternating_sum(c, K) for K in range(9)]
+        rows.append(((c, emp, emp_n, emp_r, theo, emp - theo), sums))
     if cfg.fmt == "json":
         payload = {
             "range": [cfg.lo, cfg.hi],
             "mode": cfg.mode,
             "eligible": per_n.eligible,
             # 1 / (c^k k!) overflows for tiny c: a non-finite sum renders null
-            "rows": [dict(r, partial_sums=[_finite(v) for v in r["partial_sums"]]) for r in rows],
+            "rows": [
+                dict(zip(cols, vals), partial_sums=[_finite(v) for v in sums])
+                for vals, sums in rows
+            ],
         }
         emit(render_json(payload) + "\n", cfg.out, stdout)
     else:
@@ -307,19 +314,9 @@ def cmd_density(cfg: RunConfig, stdout) -> int:
             f"# range={cfg.lo}:{cfg.hi}",
             f"# mode={cfg.mode}",
             f"# eligible={per_n.eligible}",
-            "c,empirical,empirical_per_n,empirical_per_range,theoretical,deviation,"
-            + ",".join(f"partial_K{k}" for k in range(9)),
+            ",".join(cols + tuple(f"partial_K{k}" for k in range(9))),
         ]
-        for r in rows:
-            vals = [
-                fmt_real(r["c"]),
-                fmt_real(r["empirical"]),
-                fmt_real(r["empirical_per_n"]),
-                fmt_real(r["empirical_per_range"]),
-                fmt_real(r["theoretical"]),
-                fmt_real(r["deviation"]),
-            ] + [fmt_real(v) for v in r["partial_sums"]]
-            lines.append(",".join(vals))
+        lines += [",".join(fmt_real(v) for v in (*vals, *sums)) for vals, sums in rows]
         emit("\n".join(lines) + "\n", cfg.out, stdout)
     return 0
 
@@ -548,7 +545,7 @@ def run_verification(x_max: int = 2000, seed: int = DEFAULT_SEED):
     for c in (0.25, 0.5, 1.0, 2.0, 4.0):
         lim = math.exp(-1.0 / c)
         for K in range(11):
-            s = gaps.partial_alternating_sum(c, K)
+            s = partial_alternating_sum(c, K)
             if K % 2 == 0 and s < lim - 1e-15:
                 brack_ok = False
             if K % 2 == 1 and s > lim + 1e-15:

@@ -6,11 +6,13 @@ statistic is
     gap(n) = ln( max_j  ln p_{j+1} / ln p_j ),
 
 undefined (None) when w <= 1; :class:`GapProfile`, one integer's statistic,
-and :class:`DensityReport` are immutable NamedTuples. ``scan_range`` aggregates
-the statistic over an integer range [a, b) into a :class:`ScanSummary`. All its
-accumulators are integer counts, so the summaries of neighbouring ranges
-merge exactly: folding the parts of any partition in order reproduces the
-direct scan bit for bit, regardless of segmentation or worker count.
+is an immutable NamedTuple. ``scan_range`` aggregates the statistic over an
+integer range [a, b) into a :class:`ScanSummary`. All its accumulators are
+integer counts, so the summaries of neighbouring ranges merge exactly: folding
+the parts of any partition in order reproduces the direct scan bit for bit,
+regardless of segmentation or worker count. A threshold's exceedance density
+is ``exceed[c] / eligible``, against the limit :func:`theoretical_density` and
+the brackets of :func:`partial_alternating_sum`.
 """
 
 from __future__ import annotations
@@ -57,35 +59,30 @@ ELIGIBLE_FLOOR = 16  # smallest n with ln ln n and ln ln ln n safely positive
 
 
 class EmptySampleError(Exception):
-    """A density was requested from a summary with no eligible integers."""
+    """A density or law was requested of a range with no eligible integers."""
 
 
 class GapProfile(NamedTuple):
     """Gap statistic of a single integer.
 
     ``ratio`` is the largest quotient of logs of consecutive distinct
-    prime factors, ``gap`` its natural log, and ``argmax_index`` the
-    1-based position j of the maximizing pair (p_j, p_{j+1}), smallest j
-    on ties. All three are None when omega <= 1.
+    prime factors and ``gap`` its natural log, both None when omega <= 1.
     """
 
     n: int
     omega: int
     gap: Optional[float]
     ratio: Optional[float]
-    argmax_index: Optional[int]
 
 
 def gap_profile(fact: Factorization) -> GapProfile:
     """Compute the gap statistic of one factored integer."""
     primes = fact.primes
-    w = len(primes)
-    if w <= 1:
-        return GapProfile(n=fact.n, omega=w, gap=None, ratio=None, argmax_index=None)
+    if len(primes) <= 1:
+        return GapProfile(n=fact.n, omega=len(primes), gap=None, ratio=None)
     logs = [math.log(p) for p in primes]
-    j = max(range(w - 1), key=lambda i: logs[i + 1] / logs[i])  # the first on ties
-    best = logs[j + 1] / logs[j]
-    return GapProfile(n=fact.n, omega=w, gap=math.log(best), ratio=best, argmax_index=j + 1)
+    best = max(hi / lo for lo, hi in zip(logs, logs[1:]))
+    return GapProfile(n=fact.n, omega=len(primes), gap=math.log(best), ratio=best)
 
 
 @dataclass(eq=False)
@@ -548,34 +545,3 @@ def partial_alternating_sum(c: float, K: int) -> float:
         term *= -1.0 / (c * k)
         s += term
     return s
-
-
-class DensityReport(NamedTuple):
-    """Empirical exceedance density against the limiting law for one c."""
-
-    c: float
-    x: int
-    empirical: float
-    theoretical: float
-    partial_sums: tuple[float, ...]  # K = 0..8
-
-    @property
-    def deviation(self) -> float:
-        return self.empirical - self.theoretical
-
-
-def empirical_density(summary: ScanSummary, c: float) -> DensityReport:
-    """Exceedance density of one configured threshold of a summary."""
-    c = float(c)
-    if c not in summary.exceed:
-        raise ValueError(f"threshold {c} not configured in this summary")
-    if summary.eligible == 0:
-        raise EmptySampleError("no eligible integers in summary")
-    x = summary.b - 1
-    return DensityReport(
-        c=c,
-        x=x,
-        empirical=summary.exceed[c] / summary.eligible,
-        theoretical=theoretical_density(c),
-        partial_sums=tuple(partial_alternating_sum(c, K) for K in range(9)),
-    )

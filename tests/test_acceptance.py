@@ -14,13 +14,13 @@ import pytest
 from factorgaps import (
     boundary,
     build_prime_table,
-    empirical_density,
     factorize,
     gap_profile,
     inclusion_exclusion,
     make_params,
     partial_alternating_sum,
     scan_range,
+    theoretical_density,
     tuple_reciprocal_sum,
     wide_squarefree_set,
     window_coprime_density,
@@ -200,18 +200,18 @@ def test_criterion_6_density_properties():
     print("\nACCEPTANCE 6 deviation table at x = 1e7:")
     print("  c      empirical(per-n)  empirical(per-range)  theoretical  deviation")
     for c in cs:
-        rep = empirical_density(s, c)
-        rep_r = empirical_density(sr, c)
+        emp, emp_r = s.exceed[c] / s.eligible, sr.exceed[c] / sr.eligible
+        theo = theoretical_density(c)
         print(
-            f"  {c:<5}  {rep.empirical:.7f}         {rep_r.empirical:.7f}  "
-            f"          {rep.theoretical:.7f}    {rep.deviation:+.7f}"
+            f"  {c:<5}  {emp:.7f}         {emp_r:.7f}  "
+            f"          {theo:.7f}    {emp - theo:+.7f}"
         )
 
     # (a) exactly nonincreasing empirical density in c
     counts = [s.exceed[c] for c in cs]
     assert counts == sorted(counts, reverse=True), counts
     # (b) sanity window for c = 1
-    emp = empirical_density(s, 1.0).empirical
+    emp = s.exceed[1.0] / s.eligible
     assert 0.30 < emp < 0.95, emp
     # (c) consecutive partial sums bracket exp(-1/c)
     for c in cs:

@@ -14,6 +14,8 @@ from factorgaps import (
     build_prime_table,
     cli,
     make_params,
+    partial_alternating_sum,
+    theoretical_density,
     wide_squarefree_set,
 )
 from factorgaps.cli import main, run_verification
@@ -472,11 +474,12 @@ def test_non_finite_c_refused_before_any_table(monkeypatch, capsys, argv, c):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_density_without_eligible_integers_is_a_usage_error(capsys, fmt):
     # 16 and 17 have one prime factor each; scan reports null moments there
-    argv = ("--min", "16", "--max", "18", "--c", "1", "--format", fmt)
-    assert run_cli("density", *argv) == (2, "")
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert run_cli("scan", *argv)[0] == 0
+    for mode in ("n", "range"):
+        argv = ("--min", "16", "--max", "18", "--c", "1", "--format", fmt, "--mode", mode)
+        assert run_cli("density", *argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert run_cli("scan", *argv)[0] == 0
 
 
 @pytest.mark.parametrize("cmd", ["scan", "density"])
@@ -503,6 +506,19 @@ def test_count_x_past_2_53_refused_before_any_allocation(monkeypatch):
         rc, out = run_cli("count", "--x", str(x), "--c", "1", "--allow-large")
         assert (rc, out) == (2, "")
     cli.RunConfig(subcommand="count", x=2**53 - 1, c_values=(1.0,), allow_large=True).validate()
+
+
+@pytest.mark.parametrize("cmd", ["count", "enumerate-m"])
+def test_all_wide_set_refused_before_any_allocation(monkeypatch, capsys, cmd):
+    # E = 0.3 ln ln x <= 1: every squarefree m <= x is wide, about 0.61 x members
+    def no_table(limit):
+        raise AssertionError("the wide-set guard must fire before the prime table")
+
+    monkeypatch.setattr(cli, "build_prime_table", no_table)
+    assert run_cli(cmd, "--x", str(10**7 + 1), "--c", "0.3") == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and err.count("\n") == 1
+    cli.RunConfig(subcommand=cmd, x=10**7, c_values=(0.3,)).validate()
 
 
 def test_enumerate_m_x_past_2_53_refused_before_any_allocation(monkeypatch):
@@ -559,7 +575,9 @@ def test_capacity_error_exit_code(monkeypatch):
 
 
 def test_density_rows():
-    rc, text = run_cli("density", "--min", "16", "--max", "100000", "--c", "2,0.5,1")
+    rc, text = run_cli(
+        "density", "--min", "16", "--max", "100000", "--c", "2,0.5,1", "--mode", "range"
+    )
     assert rc == 0
     doc = json.loads(text)
     cs = [row["c"] for row in doc["rows"]]
@@ -568,9 +586,17 @@ def test_density_rows():
     assert emp == sorted(emp, reverse=True)
     one = next(row for row in doc["rows"] if row["c"] == 1)
     assert one["theoretical"] == pytest.approx(0.6321205588285577, rel=1e-15)
-    assert len(one["partial_sums"]) == 9
     assert one["empirical_per_n"] != one["empirical_per_range"]
-    assert one["deviation"] == pytest.approx(one["empirical"] - one["theoretical"])
+    for row in doc["rows"]:
+        c = row["c"]
+        assert row["empirical"] == row["empirical_per_range"]
+        assert row["theoretical"] == theoretical_density(c)
+        assert row["deviation"] == row["empirical"] - row["theoretical"]
+        assert row["partial_sums"] == [partial_alternating_sum(c, K) for K in range(9)]
+        # consecutive partial sums bracket the limit
+        lim = math.exp(-1.0 / c)
+        for pair in zip(row["partial_sums"], row["partial_sums"][1:]):
+            assert min(pair) - 1e-15 <= lim <= max(pair) + 1e-15
 
 
 def test_density_pinned_to_scan_counts_without_histogram(monkeypatch):

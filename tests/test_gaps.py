@@ -7,9 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from factorgaps import (
-    EmptySampleError,
     build_prime_table,
-    empirical_density,
     factorize,
     gap_profile,
     merge_summaries,
@@ -48,7 +46,6 @@ def summaries_equal(a, b):
 def test_profile_12(table_small):
     pr = gap_profile(factorize(12, table_small))
     assert pr.omega == 2
-    assert pr.argmax_index == 1
     assert pr.gap == pytest.approx(oracle.naive_f(12), rel=1e-15)
     assert pr.gap == pytest.approx(0.4605607481983634, rel=1e-13)
     assert pr.ratio == pytest.approx(math.exp(pr.gap), rel=1e-15)
@@ -57,7 +54,7 @@ def test_profile_12(table_small):
 def test_profile_absent_for_prime_powers(table_small):
     for n in (17, 128, 1 << 10, 3**7):
         pr = gap_profile(factorize(n, table_small))
-        assert pr.gap is None and pr.ratio is None and pr.argmax_index is None
+        assert pr.gap is None and pr.ratio is None
         assert oracle.naive_f(n) is None
 
 
@@ -70,14 +67,13 @@ def test_profile_34(table_small):
 def test_profile_30_ties_to_first(table_small):
     pr = gap_profile(factorize(30, table_small))
     # ratios (1.58496, 1.46497): the first wins
-    assert pr.argmax_index == 1
+    assert pr.ratio == math.log(3) / math.log(2)
     assert pr.gap == pytest.approx(0.4605607481983634, rel=1e-13)
 
 
 def test_profile_argmax_later_pair(table_small):
     # 3*5*61: ln61/ln5 beats ln5/ln3
     pr = gap_profile(factorize(3 * 5 * 61, table_small))
-    assert pr.argmax_index == 2
     assert pr.ratio == pytest.approx(math.log(61) / math.log(5), rel=1e-15)
 
 
@@ -631,7 +627,6 @@ def test_scan_33_35(table_small):
     assert s.total == 2
     assert s.eligible == 2
     assert s.exceed == {1.0: 2}
-    assert empirical_density(s, 1.0).empirical == 1.0
 
 
 def test_scan_totals_reconcile(table_small):
@@ -1109,30 +1104,6 @@ def test_partial_sums_bracket_limit(c):
             assert s >= lim - 1e-15
         else:
             assert s <= lim + 1e-15
-
-
-def test_empirical_density_report(table_small):
-    s = scan_range(16, 100_000, [0.5, 1.0], table_small)
-    rep = empirical_density(s, 1.0)
-    assert rep.x == 99_999
-    assert 0.0 <= rep.empirical <= 1.0
-    assert rep.theoretical == pytest.approx(0.6321205588285577, rel=1e-15)
-    assert rep.deviation == rep.empirical - rep.theoretical
-    assert len(rep.partial_sums) == 9
-    # consecutive partial sums bracket the limit
-    lim = math.exp(-1.0)
-    for K in range(8):
-        lo, hi = sorted((rep.partial_sums[K], rep.partial_sums[K + 1]))
-        assert lo - 1e-15 <= lim <= hi + 1e-15
-
-
-def test_empirical_density_errors(table_small):
-    s = scan_range(16, 100, [1.0], table_small)
-    with pytest.raises(ValueError):
-        empirical_density(s, 3.0)
-    empty = scan_range(16, 17, [1.0], table_small)
-    with pytest.raises(EmptySampleError):
-        empirical_density(empty, 1.0)
 
 
 def test_pinned_density_at_1e6(table_small):

@@ -10,7 +10,7 @@ from factorgaps.counting import (
     LayerCount,
     WideSquarefree,
 )
-from factorgaps.gaps import DensityReport, GapProfile
+from factorgaps.gaps import GapProfile
 from factorgaps.sieve import Factorization
 
 
@@ -27,12 +27,8 @@ RECORDS = [
     (Factorization, ("n", "factors"),
      lambda: dict(n=360, factors=((2, 3), (3, 2), (5, 1))),
      dict(primes=(2, 3, 5), omega=3, largest_prime=5)),
-    (GapProfile, ("n", "omega", "gap", "ratio", "argmax_index"),
-     lambda: dict(n=34, omega=2, gap=1.4, ratio=4.0, argmax_index=1), {}),
-    (DensityReport, ("c", "x", "empirical", "theoretical", "partial_sums"),
-     lambda: dict(c=1.0, x=100, empirical=0.75, theoretical=0.5,
-                  partial_sums=(1.0, 0.0, 0.5)),
-     dict(deviation=0.25)),
+    (GapProfile, ("n", "omega", "gap", "ratio"),
+     lambda: dict(n=34, omega=2, gap=1.4, ratio=4.0), {}),
     (CountParams, ("x", "c", "gap_exp", "small_prime_bound", "mode"),
      lambda: dict(x=1000, c=1.0, gap_exp=1.93, small_prime_bound=35.6),
      dict(mode="per-range")),

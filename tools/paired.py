@@ -10,13 +10,16 @@ unrecorded pair that fills the bytecode caches. As ``perfbench/run.py``
 does, every ``PYTHON*`` variable of this process is dropped from the
 command's environment, and each command is reaped with ``os.wait4``, so
 its CPU and peak RSS are its own; this process imports no third-party
-module, so a child's peak RSS does not start from a large heap. Stdout
-and stderr go to /dev/null, and a non-zero exit stops the runs.
+module, so a child's peak RSS does not start from a large heap. The
+unrecorded pair's stdout is kept to compare the two trees' output; every
+other stdout, and every stderr, goes to /dev/null. A non-zero exit stops
+the runs; a difference in stdout does not.
 
-Per side it prints the median and quartiles (``statistics.quantiles``,
-n=4, exclusive) of wall, CPU and peak RSS, and per metric the pairs the
-change won (lower is better, ties count for neither side), then one JSON
-line with every value.
+It prints whether the two stdouts were byte-identical, or else the first
+offset where they differ; per side the median and quartiles
+(``statistics.quantiles``, n=4, exclusive) of wall, CPU and peak RSS; and
+per metric the pairs the change won (lower is better, ties count for
+neither side); then one JSON line with every value.
 """
 
 from __future__ import annotations
@@ -27,18 +30,19 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
 
 
-def run_once(src: str, argv: list[str]) -> dict[str, float]:
+def run_once(src: str, argv: list[str], stdout=subprocess.DEVNULL) -> dict[str, float]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = src
     t0 = time.perf_counter()
     proc = subprocess.Popen(
         [sys.executable, *argv], env=env, cwd=os.path.dirname(src),
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        stdout=stdout, stderr=subprocess.DEVNULL,
     )
     _, status, ru = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
@@ -73,16 +77,29 @@ def main(argv=None) -> int:
         if not os.path.isfile(os.path.join(src, "factorgaps", "cli.py")):
             ap.error(f"no factorgaps sources under {src}")
 
+    outputs = {}
     for side in sides:
-        run_once(sides[side], ns.command)
+        with tempfile.TemporaryFile() as fh:
+            run_once(sides[side], ns.command, fh)
+            fh.seek(0)
+            outputs[side] = fh.read()
     runs: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
     for i in range(ns.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_once(sides[side], ns.command))
 
-    result = {"command": ns.command, "pairs": ns.pairs, "sides": sides}
+    sizes = {side: len(out) for side, out in outputs.items()}
+    same = outputs["parent"] == outputs["change"]
+    first = None if same else len(os.path.commonprefix(list(outputs.values())))
+    result = {"command": ns.command, "pairs": ns.pairs, "sides": sides,
+              "stdout": {"identical": same, "first_difference": first, "bytes": sizes}}
     print(f"{' '.join(ns.command)}: {ns.pairs} pairs")
+    if same:
+        print(f"  stdout       identical, {sizes['parent']} bytes")
+    else:
+        print(f"  stdout       differs from byte {first}"
+              f" (parent {sizes['parent']}, change {sizes['change']} bytes)")
     for m in METRICS:
         values = {side: [r[m] for r in runs[side]] for side in sides}
         stats = {side: spread(values[side]) for side in sides}
