@@ -1,4 +1,6 @@
 import functools
+import io
+import json
 import math
 import random
 
@@ -16,12 +18,13 @@ from factorgaps import (
     theoretical_density,
 )
 from factorgaps import gaps as gaps_module
-from factorgaps import boundary, counting, oracle
+from factorgaps import boundary, cli, counting, oracle
 from factorgaps import sieve as sieve_module
 from factorgaps.gaps import (
     MAX_SCAN_END,
     MODE_PER_N,
     MODE_PER_RANGE,
+    EmptySampleError,
     _finish_blocks,
     _sieve_segment,
     _sieving_primes,
@@ -1104,6 +1107,41 @@ def test_partial_sums_bracket_limit(c):
             assert s >= lim - 1e-15
         else:
             assert s <= lim + 1e-15
+
+
+def test_empirical_density_report(table_small):
+    # a threshold's density is exceed[c] / eligible against the limit
+    s = scan_range(16, 100_000, [0.5, 1.0], table_small)
+    assert s.b - 1 == 99_999
+    empirical = s.exceed[1.0] / s.eligible
+    assert 0.0 <= empirical <= 1.0
+    theoretical = theoretical_density(1.0)
+    assert theoretical == pytest.approx(0.6321205588285577, rel=1e-15)
+    sums = [partial_alternating_sum(1.0, K) for K in range(9)]
+    # consecutive partial sums bracket the limit
+    lim = math.exp(-1.0)
+    for K in range(8):
+        lo, hi = sorted((sums[K], sums[K + 1]))
+        assert lo - 1e-15 <= lim <= hi + 1e-15
+    # the density row reports exactly these values
+    out = io.StringIO()
+    cfg = cli.RunConfig(subcommand="density", lo=16, hi=100_000, c_values=(0.5, 1.0))
+    assert cli.cmd_density(cfg, out) == 0
+    row = next(r for r in json.loads(out.getvalue())["rows"] if r["c"] == 1.0)
+    assert row["empirical"] == empirical
+    assert row["theoretical"] == theoretical
+    assert row["deviation"] == empirical - theoretical
+    assert row["partial_sums"] == sums
+
+
+def test_empirical_density_errors(table_small):
+    s = scan_range(16, 100, [1.0], table_small)
+    assert 3.0 not in s.exceed  # only configured thresholds are counted
+    assert scan_range(16, 17, [1.0], table_small).eligible == 0
+    for mode in (MODE_PER_N, MODE_PER_RANGE):
+        cfg = cli.RunConfig(subcommand="density", lo=16, hi=17, c_values=(1.0,), mode=mode)
+        with pytest.raises(EmptySampleError):
+            cli.cmd_density(cfg, io.StringIO())
 
 
 def test_pinned_density_at_1e6(table_small):
