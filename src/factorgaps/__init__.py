@@ -19,7 +19,6 @@ from .sieve import (
     InsufficientTableError,
     build_prime_table,
     factorize,
-    primes_in_interval,
     primes_in_power_interval,
 )
 from .gaps import (
@@ -48,7 +47,6 @@ __all__ = [
     "InsufficientTableError",
     "build_prime_table",
     "factorize",
-    "primes_in_interval",
     "primes_in_power_interval",
     "EmptySampleError",
     "gap_profile",

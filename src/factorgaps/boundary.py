@@ -120,13 +120,8 @@ def le_root(p: int, x: int, c: float) -> bool:
         return _mp_exponent(x, c) * mp.log(p) <= mp.log(x)
 
 
-def power_search_bound(p: int, x: int, c: float) -> float:
-    """A float upper bound safely above p**E, for pre-cutting candidates."""
-    return padded_exp(gap_exponent(x, c) * math.log(p))
-
-
 def root_search_bound(x: int, c: float) -> float:
-    """A float upper bound safely above x**(1/E), same idea as above."""
+    """A float upper bound safely above x**(1/E), for pre-cutting candidates."""
     e = gap_exponent(x, c)
     if e <= 1.0:
         return float(x)

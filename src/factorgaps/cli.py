@@ -357,7 +357,6 @@ def cmd_count(cfg: RunConfig, stdout) -> int:
             "c": pars.c,
             "Z": pars.gap_exp,
             "y": pars.small_prime_bound,
-            "mode": pars.mode,
         },
         "N_direct": bd.n_direct,
         "N_direct_gapform": bd.n_direct_gapform,

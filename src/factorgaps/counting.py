@@ -38,20 +38,20 @@ from .sieve import (
     primes_in_power_interval,
 )
 
+# most members held (8e6 peak near 1.4 GiB); the 6 079 291 squarefree m <= 10**7 fit
+WIDE_MEMBER_CAP = 8_000_000
+
 
 class CountParams(NamedTuple):
     """Derived parameters of one counting run.
 
     gap_exp is E = c * ln ln x; small_prime_bound is min(x**(1/E), x).
-    mode records that counting always uses the fixed per-range exponent,
-    unlike the per-n thresholds of the scan statistics.
     """
 
     x: int
     c: float
     gap_exp: float
     small_prime_bound: float
-    mode: str = "per-range"
 
 
 def make_params(x: int, c: float) -> CountParams:
@@ -166,6 +166,7 @@ def wide_squarefree_set(pars: CountParams, table: PrimeTable) -> list[WideSquare
     extended by any small prime q > p**E, those from ends[i] on, just past
     p's window, with chain product * q <= x; no q qualifies once p * p >= x.
     The gap condition makes chains terminate after O(log x / log 2**E) steps.
+    Raises MemoryError before it would hold more than WIDE_MEMBER_CAP members.
     """
     yprimes = _small_primes(pars, table)
     x = pars.x
@@ -175,17 +176,18 @@ def wide_squarefree_set(pars: CountParams, table: PrimeTable) -> list[WideSquare
         for i, p in enumerate(yprimes)
     ]
     layers: list[list[WideSquarefree]] = [[] for _ in range(x.bit_length())]  # by omega
-
-    def extend(prod: int, chain: tuple[int, ...], start: int):
+    stack, held = [(1, (), 0)], 0  # chains to extend: (product, primes, next index)
+    while stack:
+        prod, chain, start = stack.pop()
+        held += 1
+        if held > WIDE_MEMBER_CAP:
+            raise MemoryError(f"more than {WIDE_MEMBER_CAP} wide squarefree m <= {x}")
         layers[len(chain)].append(WideSquarefree(m=prod, primes=chain))
         for i in range(start, len(yprimes)):
             q = yprimes[i]
             if prod * q > x:
                 break
-            extend(prod * q, chain + (q,), ends[i])
-
-    extend(1, (), 0)
-    del extend  # it refers to itself: the cycle would keep layers to a collection
+            stack.append((prod * q, chain + (q,), ends[i]))
     for layer in layers:
         layer.sort()  # a layer's members differ in m, their first field
     return [w for layer in layers for w in layer]

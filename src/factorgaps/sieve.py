@@ -1,10 +1,12 @@
-"""Prime tables, trial-division factorization, and prime intervals.
+"""Prime tables, trial-division factorization, and prime windows.
 
 The scan kernel (:mod:`factorgaps.gaps`) sieves its own segments from a
 :class:`PrimeTable`. :func:`factorize` is the one factorizer beside it,
 for single integers that must be decided exactly; its
 :class:`Factorization` is an immutable NamedTuple, and
 :mod:`factorgaps.oracle` is the independent reference for both.
+:func:`primes_in_power_interval` is the one search over a table: the
+window (p, p**E] of the counting layer.
 """
 
 from __future__ import annotations
@@ -36,16 +38,6 @@ class Factorization(NamedTuple):
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
-
-    @property
-    def omega(self) -> int:
-        """Number of distinct prime factors."""
-        return len(self.factors)
-
-    @property
-    def largest_prime(self) -> int:
-        """Largest prime factor, with the convention 1 for n = 1."""
-        return self.factors[-1][0] if self.factors else 1
 
 
 @dataclass(frozen=True)
@@ -120,24 +112,6 @@ def segment_factor_scan(a: int, b: int, table: PrimeTable) -> Iterator[Factoriza
         yield factorize(n, table)
 
 
-def primes_in_interval(lo: float, hi: float, table: PrimeTable) -> np.ndarray:
-    """Primes q with lo < q <= hi, ascending.
-
-    ``lo`` and ``hi`` are real bounds. For integer q, q > lo iff
-    q > floor(lo) and q <= hi iff q <= floor(hi), so searching with the
-    floors is exact and keeps numpy from casting the whole table to
-    float on every call. Power-shaped bounds (q <= p**E) must go through
-    :func:`primes_in_power_interval`, which owns the tie handling.
-    """
-    if hi > table.limit:
-        raise InsufficientTableError(
-            f"interval end {hi} exceeds table limit {table.limit}"
-        )
-    i = int(np.searchsorted(table.primes, floor(lo), side="right"))
-    j = int(np.searchsorted(table.primes, floor(hi), side="right"))
-    return table.primes[i:j]
-
-
 def primes_in_power_interval(
     p: int,
     x: int,
@@ -152,19 +126,24 @@ def primes_in_power_interval(
     (an exact integer bound), which also relaxes how far the table must
     reach.
     """
-    upper = boundary.power_search_bound(p, x, c)
+    e = boundary.gap_exponent(x, c)
+    upper = boundary.padded_exp(e * log(p))
     if cap is not None:
         upper = min(upper, float(cap))
     if upper > table.limit:
         raise InsufficientTableError(
             f"window above {p} reaches {upper:.6g}, table limit {table.limit}"
         )
-    cand = primes_in_interval(float(p), upper, table)
+    # For integer q, q <= upper iff q <= floor(upper): searching with the
+    # floor is exact and keeps numpy from casting the table to float.
+    lo = int(np.searchsorted(table.primes, p, side="right"))
+    hi = int(np.searchsorted(table.primes, floor(upper), side="right"))
+    cand = table.primes[lo:hi]
     if len(cand) == 0:
         return cand
     keep = boundary.le_banded(
         np.log(cand.astype(np.float64)),
-        boundary.gap_exponent(x, c) * np.log(float(p)),
+        e * np.log(float(p)),
         lambda i: boundary.le_power(int(cand[i]), p, x, c),
     )
     return cand[keep]

@@ -13,6 +13,7 @@ from factorgaps import (
     boundary,
     build_prime_table,
     cli,
+    counting,
     make_params,
     partial_alternating_sum,
     theoretical_density,
@@ -50,6 +51,7 @@ def test_count_worked_example():
     assert doc["identity_check"] == "PASS"
     assert doc["bonferroni"] == [[0, 30], [1, -9], [2, 6], [3, 5]]
     assert doc["params"]["Z"] == pytest.approx(1.2241275407015419, rel=1e-15)
+    assert list(doc["params"]) == ["x", "c", "Z", "y"]
 
 
 def test_count_vacuous_case():
@@ -521,6 +523,22 @@ def test_all_wide_set_refused_before_any_allocation(monkeypatch, capsys, cmd):
     cli.RunConfig(subcommand=cmd, x=10**7, c_values=(0.3,)).validate()
 
 
+@pytest.mark.parametrize("cmd", ["count", "enumerate-m"])
+def test_wide_member_cap(monkeypatch, capsys, cmd):
+    # E = 0.4 ln ln 10**5 <= 1, but x is under the all-wide guard: the cap refuses
+    monkeypatch.setattr(counting, "WIDE_MEMBER_CAP", 1000)
+    assert run_cli(cmd, "--x", "100000", "--c", "0.4") == (3, "")
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and err.count("\n") == 1
+    # the cap is the most members held: x = 30, c = 1 has 15
+    pars, table = make_params(30, 1.0), build_prime_table(30)
+    monkeypatch.setattr(counting, "WIDE_MEMBER_CAP", 15)
+    assert len(wide_squarefree_set(pars, table)) == 15
+    monkeypatch.setattr(counting, "WIDE_MEMBER_CAP", 14)
+    with pytest.raises(MemoryError):
+        wide_squarefree_set(pars, table)
+
+
 def test_enumerate_m_x_past_2_53_refused_before_any_allocation(monkeypatch):
     def no_table(limit):
         raise AssertionError("the 2**53 guard must fire before the prime table")
@@ -716,9 +734,9 @@ STDOUT_DIGESTS = {
     # partial sums past K = 1 overflow: null in JSON, inf and nan in CSV
     "density --min 16 --max 1000 --c 1e-300": "38fc4d14362b0a36",
     "density --min 16 --max 1000 --c 1e-300 --format csv": "8484352f88031e32",
-    "count --x 100000 --c 1": "8c873b568ca9e0b9",
-    "count --x 100000 --c 0.5": "fbcd0a9e27fd1749",
-    "count --x 100000 --c 2": "280b056973718ea6",
+    "count --x 100000 --c 1": "94d4de79f7c034f6",
+    "count --x 100000 --c 0.5": "03f1090cb1186b19",
+    "count --x 100000 --c 2": "6ce6091f6f0922c9",
     "enumerate-m --x 1000000 --c 1": "2ce5164b05c3ddb6",
     "enumerate-m --x 9007199254740990 --c 1": "a9dfd0007b03d72d",
     "verify --x-max 300": "8b4874738081e6b3",

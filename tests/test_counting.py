@@ -146,7 +146,7 @@ def test_gapform_splits_exactly(table_small, x, c):
     assert d.n_direct + d.smooth_gap_count == d.n_direct_gapform
     smooth = 0
     for fact in map(oracle.naive_factorize, range(2, x + 1)):
-        if is_gap_form(fact, pars) and boundary.le_root(fact.largest_prime, x, c):
+        if is_gap_form(fact, pars) and boundary.le_root(fact.factors[-1][0], x, c):
             smooth += 1
     assert smooth == d.smooth_gap_count
 
@@ -159,7 +159,7 @@ def _definition_counts(x, c, table):
         fact = factorize(n, table)
         if is_gap_form(fact, pars):
             gapform += 1
-            smooth += n >= 2 and boundary.le_root(fact.largest_prime, x, c)
+            smooth += n >= 2 and boundary.le_root(fact.factors[-1][0], x, c)
     return gapform, smooth
 
 
@@ -536,7 +536,8 @@ def test_window_density_mertens_spot(table_1e6):
     z = pars.gap_exp
     direct = 1.0
     for q in range(54, int(math.exp(z * math.log(53))) + 1):
-        if oracle.naive_factorize(q).omega == 1 and oracle.naive_factorize(q).factors[0][1] == 1:
+        fact = oracle.naive_factorize(q)
+        if len(fact.factors) == 1 and fact.factors[0][1] == 1:
             if math.log(q) <= z * math.log(53):
                 direct *= 1.0 - 1.0 / q
     assert prod == pytest.approx(direct, rel=1e-9)

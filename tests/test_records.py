@@ -26,12 +26,11 @@ def _layer(k):
 RECORDS = [
     (Factorization, ("n", "factors"),
      lambda: dict(n=360, factors=((2, 3), (3, 2), (5, 1))),
-     dict(primes=(2, 3, 5), omega=3, largest_prime=5)),
+     dict(primes=(2, 3, 5))),
     (GapProfile, ("n", "omega", "gap", "ratio"),
      lambda: dict(n=34, omega=2, gap=1.4, ratio=4.0), {}),
-    (CountParams, ("x", "c", "gap_exp", "small_prime_bound", "mode"),
-     lambda: dict(x=1000, c=1.0, gap_exp=1.93, small_prime_bound=35.6),
-     dict(mode="per-range")),
+    (CountParams, ("x", "c", "gap_exp", "small_prime_bound"),
+     lambda: dict(x=1000, c=1.0, gap_exp=1.93, small_prime_bound=35.6), {}),
     (DirectCounts, ("n_direct", "n_direct_gapform", "smooth_gap_count"),
      lambda: dict(n_direct=7, n_direct_gapform=9, smooth_gap_count=2), {}),
     (WideSquarefree, ("m", "primes"),

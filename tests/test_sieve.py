@@ -8,7 +8,6 @@ from factorgaps import (
     InsufficientTableError,
     build_prime_table,
     factorize,
-    primes_in_interval,
     primes_in_power_interval,
 )
 from factorgaps import oracle
@@ -117,8 +116,7 @@ def test_factorize_refuses_n_outside_int64(table_small, n, error):
 def test_factorization_conventions(table_small):
     one = factorize(1, table_small)
     assert one.factors == ()
-    assert one.omega == 0
-    assert one.largest_prime == 1
+    assert one.primes == ()
 
 
 def test_factorize_matches_oracle_on_ranges(table_small):
@@ -128,19 +126,21 @@ def test_factorize_matches_oracle_on_ranges(table_small):
             assert factorize(n, table_small) == oracle.naive_factorize(n)
 
 
-def test_primes_in_interval_examples(table_small):
-    # windows of the x=30, c=1 setting, endpoints from extended precision
-    assert list(primes_in_interval(5, 7.172, table_small)) == [7]
-    assert list(primes_in_interval(7, 10.827, table_small)) == []
-    assert list(primes_in_interval(2, 2.336, table_small)) == []
-    # boundaries: lo exclusive, hi inclusive
-    assert list(primes_in_interval(7.0, 11.0, table_small)) == [11]
+def test_power_interval_non_integer_ends(table_small):
+    # the search cuts at floor(p**E): a prime just below a non-integer
+    # p**E is kept, one just above it is not, and p itself never is
+    ln_ln_30 = math.log(math.log(30))
+    for end, want in [(7.5, [7]), (6.5, []), (11.5, [7, 11]), (10.9, [7])]:
+        c = math.log(end) / math.log(5) / ln_ln_30
+        assert list(primes_in_power_interval(5, 30, c, table_small)) == want, end
 
 
-def test_primes_in_interval_insufficient():
+def test_power_interval_insufficient():
     small = build_prime_table(100)
+    # 97**E reaches about 270 at x = 30, c = 1; a cap at the limit suffices
     with pytest.raises(InsufficientTableError):
-        primes_in_interval(2, 1000.0, small)
+        primes_in_power_interval(97, 30, 1.0, small)
+    assert list(primes_in_power_interval(97, 30, 1.0, small, cap=100)) == []
 
 
 def test_primes_in_power_interval(table_small):

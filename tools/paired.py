@@ -19,13 +19,17 @@ It prints whether the two stdouts were byte-identical, or else the first
 offset where they differ; per side the median and quartiles
 (``statistics.quantiles``, n=4, exclusive) of wall, CPU and peak RSS; and
 per metric the pairs the change won (lower is better, ties count for
-neither side); then one JSON line with every value.
+neither side) and the claim rule's verdict: a gain is claimed only if the
+change won at least ceil(0.9 * PAIRS) pairs and the parent's median minus
+the change's exceeds the parent's q3 - q1; then one JSON line with every
+value.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -108,9 +112,17 @@ def main(argv=None) -> int:
             s = stats[side]
             print(f"  {m:12s} {side:6s} median {s['median']:.4f}"
                   f"  q1 {s['q1']:.4f}  q3 {s['q3']:.4f}")
-        print(f"  {m:12s} change won {wins}/{ns.pairs}")
+        need = math.ceil(9 * ns.pairs / 10)
+        gain = stats["parent"]["median"] - stats["change"]["median"]
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+        met = wins >= need and gain > iqr
+        print(f"  {m:12s} claim {'met' if met else 'not met'}: change won"
+              f" {wins}/{ns.pairs} (need {need}), median gain {gain:.4f}"
+              f" vs parent q3 - q1 {iqr:.4f}")
         result[m] = {side: dict(stats[side], values=values[side]) for side in sides}
         result[m]["change_wins"] = wins
+        result[m]["claim"] = {"met": met, "need_wins": need,
+                              "median_gain": gain, "parent_iqr": iqr}
     print(json.dumps(result))
     return 0
 
