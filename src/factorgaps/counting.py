@@ -38,8 +38,8 @@ from .sieve import (
     primes_in_power_interval,
 )
 
-# most members held (8e6 peak near 1.4 GiB); the 6 079 291 squarefree m <= 10**7 fit
-WIDE_MEMBER_CAP = 8_000_000
+# count holds about 190 B per member (measured at 1.9e6 and 6.5e6): 32e6 fit in 6 GiB
+WIDE_MEMBER_CAP = 32_000_000
 
 
 class CountParams(NamedTuple):
