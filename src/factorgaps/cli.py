@@ -19,8 +19,9 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .counting import (
     inner_counts,
     is_gap_form,
     make_params,
+    wide_members,
     wide_squarefree_set,
 )
 from .gaps import (
@@ -111,12 +113,14 @@ class RunConfig:
             e = boundary.gap_exponent(self.x, self.c_values[0])
             if math.isinf(e):
                 raise UsageError(f"--c {self.c_values[0]} overflows E = c ln ln x")
-            # E <= 1 empties every window, so every squarefree m <= x is wide:
-            # about 0.61 x members, and count peaked at 392 MiB of RSS at x = 3e6
+            # E <= 1 empties every window, so all 0.61 x squarefree m <= x are wide: the
+            # table, the small primes and the walk's first layer grow like pi(x), and
+            # count's 1/m per member like x; at c = 0.3, count peaked at 132 MiB at
+            # x = 3e6 and 321 MiB at 1e7
             if e <= 1 and self.x > WIDE_ALL_X_GUARD:
                 raise MemoryError(
                     f"E = c ln ln x = {fmt_real(e)} <= 1 makes all squarefree m <= x "
-                    f"wide, too many to hold past --x {WIDE_ALL_X_GUARD}"
+                    f"wide, too many to walk past --x {WIDE_ALL_X_GUARD}"
                 )
         if self.subcommand == "verify" and self.x_max < VERIFY_GRID_X[0]:
             raise UsageError(f"--x-max must be >= {VERIFY_GRID_X[0]}, the smallest grid x")
@@ -171,13 +175,15 @@ def _finite(v: float) -> Optional[float]:
     return v if math.isfinite(v) else None
 
 
-def emit(text: str, out: Optional[str], stdout) -> None:
+def emit(text: str | Iterable[str], out: Optional[str], stdout) -> None:
+    """Write text, or each of an iterable's strings as it comes, to --out or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if not out:
-        stdout.write(text)
+        stdout.writelines(chunks)
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise UsageError(f"cannot write --out: {exc}") from None
 
@@ -381,11 +387,8 @@ def cmd_enumerate_m(cfg: RunConfig, stdout) -> int:
     x, c = cfg.x, cfg.c_values[0]
     pars = make_params(x, c)
     table = build_prime_table(math.ceil(boundary.root_search_bound(x, c)))
-    members = wide_squarefree_set(pars, table)
-    lines = ["k,m,primes"]
-    for w in members:
-        lines.append(f"{w.k},{w.m},{' '.join(str(p) for p in w.primes)}")
-    emit("\n".join(lines) + "\n", cfg.out, stdout)
+    rows = (f"{w.k},{w.m},{' '.join(map(str, w.primes))}\n" for w in wide_members(pars, table))
+    emit(chain(["k,m,primes\n"], rows), cfg.out, stdout)
     return 0
 
 

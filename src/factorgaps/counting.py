@@ -23,8 +23,11 @@ down to each member of the wide set, are immutable NamedTuples.
 from __future__ import annotations
 
 import math
-from itertools import groupby, islice
-from typing import Iterable, NamedTuple
+from array import array
+from bisect import bisect_right
+from collections import defaultdict
+from itertools import tee
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,10 +40,6 @@ from .sieve import (
     factorize,
     primes_in_power_interval,
 )
-
-# count holds about 190 B per member (measured at 1.9e6 and 6.5e6): 32e6 fit in 6 GiB
-WIDE_MEMBER_CAP = 32_000_000
-
 
 class CountParams(NamedTuple):
     """Derived parameters of one counting run.
@@ -159,14 +158,15 @@ def _small_primes(pars: CountParams, table: PrimeTable) -> list[int]:
     return cand[keep].tolist()
 
 
-def wide_squarefree_set(pars: CountParams, table: PrimeTable) -> list[WideSquarefree]:
-    """Enumerate every wide squarefree m <= x, sorted by (omega, m).
+def wide_members(pars: CountParams, table: PrimeTable) -> Iterator[WideSquarefree]:
+    """Walk every wide squarefree m <= x depth-first: each chain before its
+    extensions, and those by ascending prime, so lexicographic by primes.
 
-    Depth-first extension: a chain ending at p = yprimes[i] may be
-    extended by any small prime q > p**E, those from ends[i] on, just past
-    p's window, with chain product * q <= x; no q qualifies once p * p >= x.
-    The gap condition makes chains terminate after O(log x / log 2**E) steps.
-    Raises MemoryError before it would hold more than WIDE_MEMBER_CAP members.
+    A chain ending at p = yprimes[i] may be extended by any small prime
+    q > p**E, those from ends[i] on, just past p's window, with chain
+    product * q <= x; no q qualifies once p * p >= x. The gap condition
+    makes chains terminate after O(log x / log 2**E) steps. Only the chains
+    still to extend are held.
     """
     yprimes = _small_primes(pars, table)
     x = pars.x
@@ -175,22 +175,18 @@ def wide_squarefree_set(pars: CountParams, table: PrimeTable) -> list[WideSquare
         if p * p < x else len(yprimes)
         for i, p in enumerate(yprimes)
     ]
-    layers: list[list[WideSquarefree]] = [[] for _ in range(x.bit_length())]  # by omega
-    stack, held = [(1, (), 0)], 0  # chains to extend: (product, primes, next index)
+    stack = [(1, (), 0)]  # chains to extend: (product, primes, next index)
     while stack:
         prod, chain, start = stack.pop()
-        held += 1
-        if held > WIDE_MEMBER_CAP:
-            raise MemoryError(f"more than {WIDE_MEMBER_CAP} wide squarefree m <= {x}")
-        layers[len(chain)].append(WideSquarefree(m=prod, primes=chain))
-        for i in range(start, len(yprimes)):
+        yield WideSquarefree(m=prod, primes=chain)
+        for i in range(bisect_right(yprimes, x // prod, start) - 1, start - 1, -1):
             q = yprimes[i]
-            if prod * q > x:
-                break
             stack.append((prod * q, chain + (q,), ends[i]))
-    for layer in layers:
-        layer.sort()  # a layer's members differ in m, their first field
-    return [w for layer in layers for w in layer]
+
+
+def wide_squarefree_set(pars: CountParams, table: PrimeTable) -> list[WideSquarefree]:
+    """Every wide squarefree m <= x, sorted by (omega, m): :func:`wide_members`, held."""
+    return sorted(wide_members(pars, table), key=lambda w: (w.k, w.m))
 
 
 def _unmarked(qs: np.ndarray, limit: int) -> int:
@@ -210,8 +206,8 @@ def _unmarked(qs: np.ndarray, limit: int) -> int:
 
 def inner_counts(
     members: Iterable[WideSquarefree], pars: CountParams, table: PrimeTable
-) -> list[int]:
-    """C(m) = #{ n <= x : every prime of m is isolated in n }, per member.
+) -> Iterator[int]:
+    """C(m) = #{ n <= x : every prime of m is isolated in n }, per member, lazily.
 
     Such n are exactly m * v with v <= x/m and no prime factor of v in
     m's windows (v may share primes with m itself; only the windows
@@ -222,7 +218,6 @@ def inner_counts(
     """
     x = pars.x
     cache: dict[int, np.ndarray] = {}  # base prime -> its window up to x // p
-    out = []
     for m in members:
         limit = x // m.m
         qs = []
@@ -232,13 +227,12 @@ def inner_counts(
             win = cache[p]
             if len(win) and win[0] <= limit:
                 qs.append(win[: np.searchsorted(win, limit, side="right")])
-        out.append(_unmarked(np.concatenate(qs), limit) if qs else limit)
-    return out
+        yield _unmarked(np.concatenate(qs), limit) if qs else limit
 
 
 def count_isolated_set(m: WideSquarefree, pars: CountParams, table: PrimeTable) -> int:
     """C(m) for one member; see :func:`inner_counts`."""
-    return inner_counts([m], pars, table)[0]
+    return next(inner_counts([m], pars, table))
 
 
 class LayerCount(NamedTuple):
@@ -271,17 +265,18 @@ def inclusion_exclusion(pars: CountParams, table: PrimeTable) -> CountBreakdown:
     exactly; Bonferroni partials bound it from above at even truncation
     depth and from below at odd depth.
     """
-    members = wide_squarefree_set(pars, table)
-    counts = iter(inner_counts(members, pars, table))
-    per_k = []
-    partials = []
-    acc = 0
-    for k, layer in groupby(members, key=lambda w: w.k):  # sorted by (k, m)
-        layer = list(layer)
-        count = sum(islice(counts, len(layer)))
-        recip = math.fsum(1.0 / w.m for w in layer)
-        per_k.append(LayerCount(k=k, m_count=len(layer), count=count, recip_sum=recip))
-        acc += count if k % 2 == 0 else -count
+    walk, members = tee(wide_members(pars, table))  # zip keeps them in step
+    counts: dict[int, int] = defaultdict(int)  # omega -> summed C(m)
+    recips: dict[int, array] = defaultdict(lambda: array("d"))  # omega -> each 1/m
+    for w, count in zip(walk, inner_counts(members, pars, table)):
+        counts[w.k] += count
+        recips[w.k].append(1.0 / w.m)
+    per_k, partials, acc = [], [], 0
+    for k in range(len(counts)):  # a chain's prefixes are chains: omega runs 0..K
+        per_k.append(LayerCount(
+            k=k, m_count=len(recips[k]), count=counts[k], recip_sum=math.fsum(recips[k])
+        ))
+        acc += counts[k] if k % 2 == 0 else -counts[k]
         partials.append((k, acc))
 
     direct = direct_counts(pars, table)
@@ -318,4 +313,4 @@ def tuple_reciprocal_sum(pars: CountParams, k: int, table: PrimeTable) -> float:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return math.fsum(1.0 / w.m for w in wide_squarefree_set(pars, table) if w.k == k)
+    return math.fsum(1.0 / w.m for w in wide_members(pars, table) if w.k == k)

@@ -13,7 +13,6 @@ from factorgaps import (
     boundary,
     build_prime_table,
     cli,
-    counting,
     make_params,
     partial_alternating_sum,
     theoretical_density,
@@ -169,15 +168,24 @@ def test_count_table_reaches_only_what_count_reads(monkeypatch, x, c, reach):
 # ---------------------------------------------------------------- enumerate-m
 
 
+def by_k_m(rows):
+    return sorted(rows, key=lambda row: tuple(map(int, row.split(",")[:2])))
+
+
 def test_enumerate_m_30():
+    # rows come in walk order, lexicographic by primes; sorted by (k, m)
+    # they are the held set's listing
     rc, text = run_cli("enumerate-m", "--x", "30", "--c", "1")
     assert rc == 0
     lines = text.strip().splitlines()
     assert lines[0] == "k,m,primes"
     rows = lines[1:]
-    assert len(rows) == 15
-    assert rows[0] == "0,1,"
-    assert rows[-1] == "3,30,2 3 5"
+    assert rows[:5] == ["0,1,", "1,2,2", "2,6,2 3", "3,30,2 3 5", "2,10,2 5"]
+    assert rows[-1] == "1,13,13"
+    assert by_k_m(rows) == [
+        f"{w.k},{w.m},{' '.join(map(str, w.primes))}"
+        for w in wide_squarefree_set(make_params(30, 1.0), build_prime_table(30))
+    ]
 
 
 def test_enumerate_m_30_c3():
@@ -203,7 +211,7 @@ def test_enumerate_m_table_reaches_only_small_primes(monkeypatch, table_1e6, x, 
     assert limits == [reach]
     if x <= table_1e6.limit:
         members = wide_squarefree_set(make_params(x, c), table_1e6)
-        assert text.splitlines()[1:] == [
+        assert by_k_m(text.splitlines()[1:]) == [
             f"{w.k},{w.m},{' '.join(map(str, w.primes))}" for w in members
         ]
 
@@ -523,22 +531,6 @@ def test_all_wide_set_refused_before_any_allocation(monkeypatch, capsys, cmd):
     cli.RunConfig(subcommand=cmd, x=10**7, c_values=(0.3,)).validate()
 
 
-@pytest.mark.parametrize("cmd", ["count", "enumerate-m"])
-def test_wide_member_cap(monkeypatch, capsys, cmd):
-    # E = 0.4 ln ln 10**5 <= 1, but x is under the all-wide guard: the cap refuses
-    monkeypatch.setattr(counting, "WIDE_MEMBER_CAP", 1000)
-    assert run_cli(cmd, "--x", "100000", "--c", "0.4") == (3, "")
-    err = capsys.readouterr().err
-    assert err.startswith("capacity error: ") and err.count("\n") == 1
-    # the cap is the most members held: x = 30, c = 1 has 15
-    pars, table = make_params(30, 1.0), build_prime_table(30)
-    monkeypatch.setattr(counting, "WIDE_MEMBER_CAP", 15)
-    assert len(wide_squarefree_set(pars, table)) == 15
-    monkeypatch.setattr(counting, "WIDE_MEMBER_CAP", 14)
-    with pytest.raises(MemoryError):
-        wide_squarefree_set(pars, table)
-
-
 def test_enumerate_m_x_past_2_53_refused_before_any_allocation(monkeypatch):
     def no_table(limit):
         raise AssertionError("the 2**53 guard must fire before the prime table")
@@ -737,8 +729,8 @@ STDOUT_DIGESTS = {
     "count --x 100000 --c 1": "94d4de79f7c034f6",
     "count --x 100000 --c 0.5": "03f1090cb1186b19",
     "count --x 100000 --c 2": "6ce6091f6f0922c9",
-    "enumerate-m --x 1000000 --c 1": "2ce5164b05c3ddb6",
-    "enumerate-m --x 9007199254740990 --c 1": "a9dfd0007b03d72d",
+    "enumerate-m --x 1000000 --c 1": "261ad30f66513b81",
+    "enumerate-m --x 9007199254740990 --c 1": "ececdb1d21d25414",
     "verify --x-max 300": "8b4874738081e6b3",
 }
 

@@ -1,4 +1,6 @@
+import contextlib
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from factorgaps import (
     window_coprime_density,
 )
 from factorgaps import counting, oracle
+from factorgaps.counting import LayerCount
 from factorgaps.gaps import MODE_PER_RANGE
 
 
@@ -309,6 +312,20 @@ def test_wide_set_matches_bruteforce(table_small, monkeypatch, x, c):
         assert tie[::-1] in calls
 
 
+@pytest.mark.parametrize("x,c", [(30, 1.0), (100, 0.5), (300, 1.0), (2000, 0.7), (3000, 2.0)])
+def test_wide_members_walk_prefix_first(table_small, x, c):
+    # each chain comes after its prefix, extensions by ascending prime: the
+    # walk is lexicographic by primes, and as a multiset it is the wide set
+    walk = list(counting.wide_members(make_params(x, c), table_small))
+    seen = {()}
+    assert walk[0] == (1, ())
+    for w in walk[1:]:
+        assert w.primes[:-1] in seen
+        seen.add(w.primes)
+    assert [w.primes for w in walk] == sorted(w.primes for w in walk)
+    assert sorted(walk) == sorted(oracle.naive_wide_squarefree(x, c))
+
+
 def test_wide_set_requires_table_reach():
     pars = make_params(10**6, 1.0)  # cutoff ~192.76
     with pytest.raises(InsufficientTableError):
@@ -355,7 +372,7 @@ def test_inner_counts_match_oracle(table_small, x, c, data):
     # naive check is drawn from a sample of at most 40 members
     pars = make_params(x, c)
     members = wide_squarefree_set(pars, table_small)
-    got = inner_counts(members, pars, table_small)
+    got = list(inner_counts(members, pars, table_small))
     assert len(got) == len(members)
     picks = range(len(members))
     if len(members) > 40:
@@ -380,7 +397,7 @@ def test_inner_counts_branches(table_small, monkeypatch):
         return real(qs, limit)
 
     monkeypatch.setattr(counting, "_unmarked", spy)
-    got = inner_counts(members, pars, table_small)
+    got = list(inner_counts(members, pars, table_small))
     assert got == [oracle.naive_chi_count(w.primes, x, c) for w in members]
 
     # a bitmap exactly for the members with a window prime <= x // m,
@@ -428,6 +445,31 @@ def test_layers_1e6_half_pinned(table_1e6):
 
 
 # ---------------------------------------------------------------- breakdown
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["double", "extended"])
+@pytest.mark.parametrize("x,c", [(3000, 2.0), (20_000, 0.5), (20_000, 0.7), (100_000, 0.4)])
+def test_breakdown_never_holds_the_wide_set(table_1e6, monkeypatch, x, c, extended):
+    # the layers come from one pass over the walk; the reference groups the
+    # sorted set and its inner counts by omega (c = 0.4 at 1e5: all wide)
+    pars = make_params(x, c)
+    members = wide_squarefree_set(pars, table_1e6)
+    rows = zip(members, inner_counts(members, pars, table_1e6))
+    want = []
+    for k, layer in groupby(rows, key=lambda row: row[0].k):
+        layer = list(layer)
+        want.append(LayerCount(
+            k, len(layer), sum(n for _, n in layer), math.fsum(1.0 / w.m for w, _ in layer)
+        ))
+
+    def held(*args):
+        raise AssertionError("inclusion_exclusion must not hold the wide set")
+
+    monkeypatch.setattr(counting, "wide_squarefree_set", held)
+    with boundary.force_extended() if extended else contextlib.nullcontext():
+        bd = inclusion_exclusion(pars, table_1e6)
+    assert bd.per_k == tuple(want)
+    assert bd.n_inclusion_exclusion == bd.n_direct
 
 
 def test_breakdown_30(table_small, pars30):

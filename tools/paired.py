@@ -11,7 +11,9 @@ does, every ``PYTHON*`` variable of this process is dropped from the
 command's environment, and each command is reaped with ``os.wait4``, so
 its CPU and peak RSS are its own; this process imports no third-party
 module, so a child's peak RSS does not start from a large heap. The
-unrecorded pair's stdout is kept to compare the two trees' output; every
+unrecorded pair's stdout goes to two temporary files, which are compared
+chunk by chunk only after the timed pairs: a forked child's peak RSS
+starts at this process's, so this process never reads them whole. Every
 other stdout, and every stderr, goes to /dev/null. A non-zero exit stops
 the runs; a difference in stdout does not.
 
@@ -60,6 +62,20 @@ def run_once(src: str, argv: list[str], stdout=subprocess.DEVNULL) -> dict[str, 
     }
 
 
+def first_difference(a, b, chunk: int = 1 << 20) -> int | None:
+    """The first offset where two open files differ, or None if they are equal."""
+    a.seek(0)
+    b.seek(0)
+    offset = 0
+    while True:
+        x, y = a.read(chunk), b.read(chunk)
+        if x != y:
+            return offset + len(os.path.commonprefix([x, y]))
+        if not x:
+            return None
+        offset += len(x)
+
+
 def spread(values: list[float]) -> dict[str, float]:
     q1, _, q3 = statistics.quantiles(values, n=4, method="exclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
@@ -81,21 +97,18 @@ def main(argv=None) -> int:
         if not os.path.isfile(os.path.join(src, "factorgaps", "cli.py")):
             ap.error(f"no factorgaps sources under {src}")
 
-    outputs = {}
-    for side in sides:
-        with tempfile.TemporaryFile() as fh:
+    with tempfile.TemporaryFile() as parent_out, tempfile.TemporaryFile() as change_out:
+        outputs = {"parent": parent_out, "change": change_out}
+        for side, fh in outputs.items():
             run_once(sides[side], ns.command, fh)
-            fh.seek(0)
-            outputs[side] = fh.read()
-    runs: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
-    for i in range(ns.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_once(sides[side], ns.command))
-
-    sizes = {side: len(out) for side, out in outputs.items()}
-    same = outputs["parent"] == outputs["change"]
-    first = None if same else len(os.path.commonprefix(list(outputs.values())))
+        runs: dict[str, list[dict[str, float]]] = {side: [] for side in sides}
+        for i in range(ns.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run_once(sides[side], ns.command))
+        sizes = {side: os.fstat(fh.fileno()).st_size for side, fh in outputs.items()}
+        first = first_difference(parent_out, change_out)
+    same = first is None
     result = {"command": ns.command, "pairs": ns.pairs, "sides": sides,
               "stdout": {"identical": same, "first_difference": first, "bytes": sizes}}
     print(f"{' '.join(ns.command)}: {ns.pairs} pairs")
