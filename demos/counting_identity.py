@@ -33,21 +33,19 @@ def main(x, c):
 
     members = wide_squarefree_set(pars, table)
     print(f"\n  the wide squarefree set ({len(members)} members):")
-    k_max = members[-1].k
+    k_max = len(members[-1][1])
     for k in range(k_max + 1):
-        ms = [w.m for w in members if w.k == k]
+        ms = [m for m, primes in members if len(primes) == k]
         shown = ", ".join(str(m) for m in ms[:14]) + (", ..." if len(ms) > 14 else "")
         print(f"    omega = {k}: {len(ms):>4} members  {{{shown}}}")
 
     if x <= 100:
         print("\n  windows above each member's primes (base, upper end):")
-        for w in members:
-            if w.k == 0:
-                continue
+        for m, primes in members[1:]:  # m = 1 has no windows
             ivals = ", ".join(
-                f"({p}, {math.exp(pars.gap_exp * math.log(p)):.3f}]" for p in w.primes
+                f"({p}, {math.exp(pars.gap_exp * math.log(p)):.3f}]" for p in primes
             )
-            print(f"    m = {w.m:>4}: {ivals}")
+            print(f"    m = {m:>4}: {ivals}")
 
     bd = inclusion_exclusion(pars, table)
     print("\n  per-layer inner counts:")

@@ -25,20 +25,21 @@ from factorgaps import (
 def window_table(x):
     pars = make_params(x, 1.0)
     table = build_prime_table(x)
-    singles = [w for w in wide_squarefree_set(pars, table) if w.k == 1]
+    singles = [w for w in wide_squarefree_set(pars, table) if len(w[1]) == 1]
     print("=" * 72)
     print(f"  x = {x}: E = {pars.gap_exp:.5f}, cutoff = {pars.small_prime_bound:.2f}")
     print("=" * 72)
     print("  exact share of integers coprime to the window above p,")
     print("  multiplied by E (the heuristic predicts 1):")
     print(f"  {'p':>6} {'window end':>14} {'E * product':>12} {'4/ln p':>9}")
-    shown = [w for w in singles if w.m >= 50][:: max(1, len(singles) // 14)]
-    for w in shown:
-        prod, _ = window_coprime_density(w, pars, table)
-        hi = math.exp(pars.gap_exp * math.log(w.m))
+    shown = [w for w in singles if w[0] >= 50][:: max(1, len(singles) // 14)]
+    for member in shown:
+        p = member[0]  # a single prime
+        prod, _ = window_coprime_density(member, pars, table)
+        hi = math.exp(pars.gap_exp * math.log(p))
         print(
-            f"  {w.m:>6} {hi:>14.1f} {prod * pars.gap_exp:>12.5f}"
-            f" {4.0 / math.log(w.m):>9.4f}"
+            f"  {p:>6} {hi:>14.1f} {prod * pars.gap_exp:>12.5f}"
+            f" {4.0 / math.log(p):>9.4f}"
         )
     print()
     print("  the error scale is 1/ln p; the last column is the generous")

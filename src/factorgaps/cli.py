@@ -4,12 +4,13 @@ wide-squarefree listings, and self-verification.
 All machine output (JSON or CSV) goes to stdout unless --out is given;
 diagnostics go to stderr. Reals are rendered with 17 significant digits
 so files round-trip exactly. Exit codes: 0 success, 1 verification
-failure, 2 usage error, 3 capacity error.
+failure, 2 usage error or failed write, 3 capacity error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
@@ -178,14 +179,15 @@ def _finite(v: float) -> Optional[float]:
 def emit(text: str | Iterable[str], out: Optional[str], stdout) -> None:
     """Write text, or each of an iterable's strings as it comes, to --out or stdout."""
     chunks = [text] if isinstance(text, str) else text
-    if not out:
-        stdout.writelines(chunks)
-        return
     try:
-        with open(out, "w") as fh:
+        with open(out, "w") if out else contextlib.nullcontext(stdout) as fh:
             fh.writelines(chunks)
+            fh.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write --out: {exc}") from None
+        if not out and stdout is sys.stdout:
+            # what the buffer still holds goes nowhere, not to a second error at exit
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise UsageError(f"cannot write {'--out' if out else 'stdout'}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +389,7 @@ def cmd_enumerate_m(cfg: RunConfig, stdout) -> int:
     x, c = cfg.x, cfg.c_values[0]
     pars = make_params(x, c)
     table = build_prime_table(math.ceil(boundary.root_search_bound(x, c)))
-    rows = (f"{w.k},{w.m},{' '.join(map(str, w.primes))}\n" for w in wide_members(pars, table))
+    rows = (f"{len(ps)},{m},{' '.join(map(str, ps))}\n" for m, ps in wide_members(pars, table))
     emit(chain(["k,m,primes\n"], rows), cfg.out, stdout)
     return 0
 
@@ -413,6 +415,7 @@ def run_verification(x_max: int = 2000, seed: int = DEFAULT_SEED):
     # 10**4 reaches every grid x (<= 2000) and factorize up to 10**8, past
     # the oracle sample's n <= 10**5; a larger x_max runs no further check
     table = build_prime_table(10_000)
+    breakdowns = {}  # (x, c) -> its inclusion-exclusion breakdown
 
     # counting identities on the grid
     for x in VERIFY_GRID_X:
@@ -420,7 +423,7 @@ def run_verification(x_max: int = 2000, seed: int = DEFAULT_SEED):
             continue
         for c in VERIFY_GRID_C:
             pars = make_params(x, c)
-            bd = inclusion_exclusion(pars, table)
+            bd = breakdowns[x, c] = inclusion_exclusion(pars, table)
             nv = oracle.naive_N(x, c)
             _check(
                 results,
@@ -448,8 +451,7 @@ def run_verification(x_max: int = 2000, seed: int = DEFAULT_SEED):
                 f"partials={bd.bonferroni} direct={bd.n_direct}",
             )
 
-            members = wide_squarefree_set(pars, table)
-            got = [(w.m, w.primes) for w in members]
+            got = wide_squarefree_set(pars, table)
             want = oracle.naive_wide_squarefree(x, c)
             _check(
                 results,
@@ -459,10 +461,10 @@ def run_verification(x_max: int = 2000, seed: int = DEFAULT_SEED):
             )
 
             bad = []
-            for w, mine in zip(members, inner_counts(members, pars, table)):
-                ref = oracle.naive_chi_count(w.primes, x, c)
+            for m, primes, mine in inner_counts(got, pars, table):
+                ref = oracle.naive_chi_count(primes, x, c)
                 if mine != ref:
-                    bad.append((w.m, mine, ref))
+                    bad.append((m, mine, ref))
                     if len(bad) >= 3:
                         break
             _check(
@@ -477,10 +479,9 @@ def run_verification(x_max: int = 2000, seed: int = DEFAULT_SEED):
         if x > x_max:
             continue
         for c in VERIFY_GRID_C:
-            pars = make_params(x, c)
-            fast = inclusion_exclusion(pars, table)
+            fast = breakdowns[x, c]
             with boundary.force_extended():
-                slow = inclusion_exclusion(pars, table)
+                slow = inclusion_exclusion(fast.params, table)
             _check(
                 results,
                 f"boundary-robust x={x} c={c}",

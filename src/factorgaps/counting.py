@@ -16,8 +16,8 @@ than an E-th power):
 
 and truncating the sum at even (odd) omega gives an upper (lower)
 bound. Everything here is computed exactly, as integer counts, with the
-window-boundary comparisons of :mod:`factorgaps.boundary`. The results,
-down to each member of the wide set, are immutable NamedTuples.
+window-boundary comparisons of :mod:`factorgaps.boundary`. Members of the
+wide set are plain (m, primes) pairs; the results are immutable NamedTuples.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
-from itertools import tee
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -40,6 +39,9 @@ from .sieve import (
     factorize,
     primes_in_power_interval,
 )
+
+Member = tuple[int, tuple[int, ...]]  # a wide squarefree m and its primes, ascending
+
 
 class CountParams(NamedTuple):
     """Derived parameters of one counting run.
@@ -130,18 +132,6 @@ def direct_counts(pars: CountParams, table: PrimeTable) -> DirectCounts:
     )
 
 
-class WideSquarefree(NamedTuple):
-    """A squarefree integer whose prime factors are all small and
-    pairwise separated by more than an E-th power."""
-
-    m: int
-    primes: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.primes)
-
-
 def _small_primes(pars: CountParams, table: PrimeTable) -> list[int]:
     """All primes at or below the small-prime cutoff, tie-exact."""
     if table.limit < pars.small_prime_bound:
@@ -158,9 +148,9 @@ def _small_primes(pars: CountParams, table: PrimeTable) -> list[int]:
     return cand[keep].tolist()
 
 
-def wide_members(pars: CountParams, table: PrimeTable) -> Iterator[WideSquarefree]:
-    """Walk every wide squarefree m <= x depth-first: each chain before its
-    extensions, and those by ascending prime, so lexicographic by primes.
+def wide_members(pars: CountParams, table: PrimeTable) -> Iterator[Member]:
+    """Walk every wide squarefree (m, primes) with m <= x depth-first: each chain
+    before its extensions, and those by ascending prime, so lexicographic by primes.
 
     A chain ending at p = yprimes[i] may be extended by any small prime
     q > p**E, those from ends[i] on, just past p's window, with chain
@@ -178,15 +168,16 @@ def wide_members(pars: CountParams, table: PrimeTable) -> Iterator[WideSquarefre
     stack = [(1, (), 0)]  # chains to extend: (product, primes, next index)
     while stack:
         prod, chain, start = stack.pop()
-        yield WideSquarefree(m=prod, primes=chain)
+        yield prod, chain
         for i in range(bisect_right(yprimes, x // prod, start) - 1, start - 1, -1):
             q = yprimes[i]
             stack.append((prod * q, chain + (q,), ends[i]))
 
 
-def wide_squarefree_set(pars: CountParams, table: PrimeTable) -> list[WideSquarefree]:
-    """Every wide squarefree m <= x, sorted by (omega, m): :func:`wide_members`, held."""
-    return sorted(wide_members(pars, table), key=lambda w: (w.k, w.m))
+def wide_squarefree_set(pars: CountParams, table: PrimeTable) -> list[Member]:
+    """Every wide squarefree m <= x, sorted by (omega, m): :func:`wide_members`,
+    held, as :func:`oracle.naive_wide_squarefree` lists it."""
+    return sorted(wide_members(pars, table), key=lambda w: (len(w[1]), w[0]))
 
 
 def _unmarked(qs: np.ndarray, limit: int) -> int:
@@ -205,9 +196,10 @@ def _unmarked(qs: np.ndarray, limit: int) -> int:
 
 
 def inner_counts(
-    members: Iterable[WideSquarefree], pars: CountParams, table: PrimeTable
-) -> Iterator[int]:
-    """C(m) = #{ n <= x : every prime of m is isolated in n }, per member, lazily.
+    members: Iterable[Member], pars: CountParams, table: PrimeTable
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """Each member (m, primes) as (m, primes, C(m)), lazily, where
+    C(m) = #{ n <= x : every prime of m is isolated in n }.
 
     Such n are exactly m * v with v <= x/m and no prime factor of v in
     m's windows (v may share primes with m itself; only the windows
@@ -218,21 +210,21 @@ def inner_counts(
     """
     x = pars.x
     cache: dict[int, np.ndarray] = {}  # base prime -> its window up to x // p
-    for m in members:
-        limit = x // m.m
+    for m, primes in members:
+        limit = x // m
         qs = []
-        for p in m.primes:
+        for p in primes:
             if p not in cache:
                 cache[p] = primes_in_power_interval(p, x, pars.c, table, cap=x // p)
             win = cache[p]
             if len(win) and win[0] <= limit:
                 qs.append(win[: np.searchsorted(win, limit, side="right")])
-        yield _unmarked(np.concatenate(qs), limit) if qs else limit
+        yield m, primes, _unmarked(np.concatenate(qs), limit) if qs else limit
 
 
-def count_isolated_set(m: WideSquarefree, pars: CountParams, table: PrimeTable) -> int:
-    """C(m) for one member; see :func:`inner_counts`."""
-    return next(inner_counts([m], pars, table))
+def count_isolated_set(member: Member, pars: CountParams, table: PrimeTable) -> int:
+    """C(m) for one member (m, primes); see :func:`inner_counts`."""
+    return next(inner_counts([member], pars, table))[2]
 
 
 class LayerCount(NamedTuple):
@@ -265,12 +257,12 @@ def inclusion_exclusion(pars: CountParams, table: PrimeTable) -> CountBreakdown:
     exactly; Bonferroni partials bound it from above at even truncation
     depth and from below at odd depth.
     """
-    walk, members = tee(wide_members(pars, table))  # zip keeps them in step
     counts: dict[int, int] = defaultdict(int)  # omega -> summed C(m)
     recips: dict[int, array] = defaultdict(lambda: array("d"))  # omega -> each 1/m
-    for w, count in zip(walk, inner_counts(members, pars, table)):
-        counts[w.k] += count
-        recips[w.k].append(1.0 / w.m)
+    for m, primes, count in inner_counts(wide_members(pars, table), pars, table):
+        k = len(primes)
+        counts[k] += count
+        recips[k].append(1.0 / m)
     per_k, partials, acc = [], [], 0
     for k in range(len(counts)):  # a chain's prefixes are chains: omega runs 0..K
         per_k.append(LayerCount(
@@ -292,18 +284,18 @@ def inclusion_exclusion(pars: CountParams, table: PrimeTable) -> CountBreakdown:
 
 
 def window_coprime_density(
-    m: WideSquarefree, pars: CountParams, table: PrimeTable
+    member: Member, pars: CountParams, table: PrimeTable
 ) -> tuple[float, float]:
-    """The exact share of integers coprime to m's window primes, next to
-    its first-order prediction E**(-omega(m)).
+    """The exact share of integers coprime to the window primes of a member
+    (m, primes), next to its first-order prediction E**(-omega(m)).
 
     The product over windows behaves like a ratio of log weights, one
     factor 1/E per window; the deviation shrinks only like 1/log p, so
     callers should treat the prediction as a trend, not a tolerance.
     """
-    parts = [primes_in_power_interval(p, pars.x, pars.c, table) for p in m.primes]
+    parts = [primes_in_power_interval(p, pars.x, pars.c, table) for p in member[1]]
     qs = np.concatenate([np.empty(0, dtype=np.int64), *parts])
-    return float(np.prod(1.0 - 1.0 / qs.astype(np.float64))), pars.gap_exp ** (-m.k)
+    return float(np.prod(1.0 - 1.0 / qs.astype(np.float64))), pars.gap_exp ** -len(member[1])
 
 
 def tuple_reciprocal_sum(pars: CountParams, k: int, table: PrimeTable) -> float:
@@ -313,4 +305,4 @@ def tuple_reciprocal_sum(pars: CountParams, k: int, table: PrimeTable) -> float:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return math.fsum(1.0 / w.m for w in wide_members(pars, table) if w.k == k)
+    return math.fsum(1.0 / m for m, primes in wide_members(pars, table) if len(primes) == k)

@@ -68,7 +68,7 @@ def test_criterion_1_worked_example():
     ]
     assert counted == [1, 17, 19, 23, 29]
     assert len(members) == 15
-    assert [w.m for w in members if w.k == 3] == [30]
+    assert [m for m, primes in members if len(primes) == 3] == [30]
     assert [l.count for l in bd.per_k] == [30, 39, 15, 1]
     assert bd.n_inclusion_exclusion == 30 - 39 + 15 - 1 == 5
     assert elapsed < 1.0
@@ -115,15 +115,16 @@ def test_criterion_4_mertens_windows():
     pars = make_params(10**6, 1.0)
     t0 = time.perf_counter()
     singles = [
-        w for w in wide_squarefree_set(pars, table) if w.k == 1 and w.m >= 50
+        w for w in wide_squarefree_set(pars, table) if len(w[1]) == 1 and w[0] >= 50
     ]
-    assert singles and singles[-1].m <= pars.small_prime_bound
+    assert singles and singles[-1][0] <= pars.small_prime_bound
     violations = []
     for w in singles:
+        m = w[0]
         prod, _ = window_coprime_density(w, pars, table)
         err = abs(prod * pars.gap_exp - 1.0)
-        if err > 4.0 / math.log(w.m):
-            violations.append((w.m, err))
+        if err > 4.0 / math.log(m):
+            violations.append((m, err))
     elapsed = time.perf_counter() - t0
     assert not violations
     assert elapsed < 5.0

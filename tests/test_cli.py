@@ -145,6 +145,37 @@ def test_out_write_failure_is_still_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: cannot write --out")
 
 
+def _cli_env():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_closed_stdout_pipe_is_one_error_line():
+    # the reader takes one row and closes the pipe while rows still stream
+    with subprocess.Popen(
+        [sys.executable, "-m", "factorgaps.cli", "enumerate-m", "--x", "1000000", "--c", "0.5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    ) as proc:
+        assert proc.stdout.readline() == b"k,m,primes\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == ["error: cannot write stdout: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_one_error_line():
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "factorgaps.cli", "count", "--x", "1000", "--c", "1"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=_cli_env(),
+        )
+    assert res.returncode == 2
+    err = res.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write stdout: ")
+
+
 @pytest.mark.parametrize(
     "x,c,reach",
     [(10**5, 1.0, 3533), (10**5, 0.5, 12375), (10**5, 2.0, 14148), (10**5, 0.3, 10**5)],
@@ -183,8 +214,8 @@ def test_enumerate_m_30():
     assert rows[:5] == ["0,1,", "1,2,2", "2,6,2 3", "3,30,2 3 5", "2,10,2 5"]
     assert rows[-1] == "1,13,13"
     assert by_k_m(rows) == [
-        f"{w.k},{w.m},{' '.join(map(str, w.primes))}"
-        for w in wide_squarefree_set(make_params(30, 1.0), build_prime_table(30))
+        f"{len(primes)},{m},{' '.join(map(str, primes))}"
+        for m, primes in wide_squarefree_set(make_params(30, 1.0), build_prime_table(30))
     ]
 
 
@@ -212,7 +243,7 @@ def test_enumerate_m_table_reaches_only_small_primes(monkeypatch, table_1e6, x, 
     if x <= table_1e6.limit:
         members = wide_squarefree_set(make_params(x, c), table_1e6)
         assert by_k_m(text.splitlines()[1:]) == [
-            f"{w.k},{w.m},{' '.join(map(str, w.primes))}" for w in members
+            f"{len(primes)},{m},{' '.join(map(str, primes))}" for m, primes in members
         ]
 
 

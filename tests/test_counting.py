@@ -254,35 +254,35 @@ def test_direct_counts_past_one_segment_match_the_scan(table_small):
 def test_wide_set_30(table_small, pars30):
     members = wide_squarefree_set(pars30, table_small)
     by_k = {}
-    for w in members:
-        by_k.setdefault(w.k, []).append(w.m)
+    for m, primes in members:
+        by_k.setdefault(len(primes), []).append(m)
     assert len(members) == 15
     assert by_k[0] == [1]
     assert by_k[1] == [2, 3, 5, 7, 11, 13]
     assert by_k[2] == [6, 10, 14, 15, 21, 22, 26]
     assert by_k[3] == [30]
     # ascending by (k, m)
-    keys = [(w.k, w.m) for w in members]
+    keys = [(len(primes), m) for m, primes in members]
     assert keys == sorted(keys)
 
 
 def test_wide_set_member_invariants(table_small, pars30):
-    for w in wide_squarefree_set(pars30, table_small):
+    for m, primes in wide_squarefree_set(pars30, table_small):
         prod = 1
-        for p in w.primes:
+        for p in primes:
             prod *= p
-        assert prod == w.m
-        assert len(set(w.primes)) == w.k
-        assert w.m <= pars30.x
-        for p in w.primes:
+        assert prod == m
+        assert len(set(primes)) == len(primes)
+        assert m <= pars30.x
+        for p in primes:
             assert boundary.le_root(p, pars30.x, pars30.c)
-        for a, b in zip(w.primes, w.primes[1:]):
+        for a, b in zip(primes, primes[1:]):
             assert not boundary.le_power(b, a, pars30.x, pars30.c)
 
 
 def test_wide_set_30_c3(table_small):
     pars = make_params(30, 3.0)
-    assert [w.m for w in wide_squarefree_set(pars, table_small)] == [1, 2]
+    assert [m for m, _ in wide_squarefree_set(pars, table_small)] == [1, 2]
 
 
 @pytest.mark.parametrize(
@@ -306,8 +306,8 @@ def test_wide_set_matches_bruteforce(table_small, monkeypatch, x, c):
 
     monkeypatch.setattr(boundary, "le_power", spy)
     pars = make_params(x, c)
-    got = [(w.m, w.primes) for w in wide_squarefree_set(pars, table_small)]
-    assert got == oracle.naive_wide_squarefree(x, c)
+    # same shape and order as the oracle's list
+    assert wide_squarefree_set(pars, table_small) == oracle.naive_wide_squarefree(x, c)
     if tie:
         assert tie[::-1] in calls
 
@@ -319,10 +319,10 @@ def test_wide_members_walk_prefix_first(table_small, x, c):
     walk = list(counting.wide_members(make_params(x, c), table_small))
     seen = {()}
     assert walk[0] == (1, ())
-    for w in walk[1:]:
-        assert w.primes[:-1] in seen
-        seen.add(w.primes)
-    assert [w.primes for w in walk] == sorted(w.primes for w in walk)
+    for _, primes in walk[1:]:
+        assert primes[:-1] in seen
+        seen.add(primes)
+    assert [primes for _, primes in walk] == sorted(primes for _, primes in walk)
     assert sorted(walk) == sorted(oracle.naive_wide_squarefree(x, c))
 
 
@@ -336,7 +336,7 @@ def test_wide_set_requires_table_reach():
 
 
 def test_inner_count_examples(table_small, pars30):
-    by_m = {w.m: w for w in wide_squarefree_set(pars30, table_small)}
+    by_m = {w[0]: w for w in wide_squarefree_set(pars30, table_small)}
     assert count_isolated_set(by_m[5], pars30, table_small) == 6
     assert count_isolated_set(by_m[22], pars30, table_small) == 1
     assert count_isolated_set(by_m[1], pars30, table_small) == 30
@@ -345,7 +345,7 @@ def test_inner_count_examples(table_small, pars30):
 def test_inner_count_matches_oracle(table_small, pars30):
     for w in wide_squarefree_set(pars30, table_small):
         assert count_isolated_set(w, pars30, table_small) == oracle.naive_chi_count(
-            w.primes, 30, 1.0
+            w[1], 30, 1.0
         )
 
 
@@ -353,15 +353,15 @@ def test_inner_count_matches_definition_at_150001(table_1e6):
     # C(m) counted from the definition: every prime of m isolated in n
     x = 150_001
     pars = make_params(x, 1.0)
-    by_m = {w.m: w for w in wide_squarefree_set(pars, table_1e6)}
+    by_m = dict(wide_squarefree_set(pars, table_1e6))
     want = {1: 150_001, 2: 40_000, 3: 28_773, 5: 15_330}
     ref = dict.fromkeys(want, 0)
     for f in map(oracle.naive_factorize, range(1, x + 1)):
         for m in ref:
-            ref[m] += all(oracle._chi(f.primes, p, f.n, x, 1.0) for p in by_m[m].primes)
+            ref[m] += all(oracle._chi(f.primes, p, f.n, x, 1.0) for p in by_m[m])
     assert ref == want
     for m in want:
-        assert count_isolated_set(by_m[m], pars, table_1e6) == want[m]
+        assert count_isolated_set((m, by_m[m]), pars, table_1e6) == want[m]
 
 
 @settings(max_examples=25, deadline=None)
@@ -373,12 +373,12 @@ def test_inner_counts_match_oracle(table_small, x, c, data):
     pars = make_params(x, c)
     members = wide_squarefree_set(pars, table_small)
     got = list(inner_counts(members, pars, table_small))
-    assert len(got) == len(members)
+    assert [(m, primes) for m, primes, _ in got] == members
     picks = range(len(members))
     if len(members) > 40:
         picks = data.draw(st.sets(st.sampled_from(picks), min_size=40, max_size=40))
     for i in picks:
-        assert got[i] == oracle.naive_chi_count(members[i].primes, x, c), members[i]
+        assert got[i][2] == oracle.naive_chi_count(members[i][1], x, c), members[i]
 
 
 def test_inner_counts_branches(table_small, monkeypatch):
@@ -398,16 +398,16 @@ def test_inner_counts_branches(table_small, monkeypatch):
 
     monkeypatch.setattr(counting, "_unmarked", spy)
     got = list(inner_counts(members, pars, table_small))
-    assert got == [oracle.naive_chi_count(w.primes, x, c) for w in members]
+    assert got == [(m, primes, oracle.naive_chi_count(primes, x, c)) for m, primes in members]
 
     # a bitmap exactly for the members with a window prime <= x // m,
     # built from those window primes only
     want = []
     cut = late = 0
-    for w in members:
-        limit = x // w.m
+    for m, primes in members:
+        limit = x // m
         cached = [
-            primes_in_power_interval(p, x, c, table_small, cap=x // p) for p in w.primes
+            primes_in_power_interval(p, x, c, table_small, cap=x // p) for p in primes
         ]
         qs = [int(q) for part in cached for q in part if q <= limit]
         if qs:
@@ -419,6 +419,23 @@ def test_inner_counts_branches(table_small, monkeypatch):
     assert cut and late
     assert any(32 * q <= limit for qs, limit in calls for q in qs)
     assert any(32 * q > limit for qs, limit in calls for q in qs)
+
+
+@pytest.mark.parametrize("x,c", [(1000, 1.0), (3000, 0.5), (3000, (2, 3))],
+                         ids=["1000-1", "3000-0.5", "3000-tie-2-3"])
+def test_inner_counts_annotate_their_input(table_small, x, c):
+    # a one-shot iterator in, each pair out unchanged and in order with its
+    # C(m); the tie case puts 3 on the edge of 2's window, decided exactly
+    tie = isinstance(c, tuple)
+    if tie:
+        c = (math.log(c[1]) / math.log(c[0])) / math.log(math.log(x))
+    pars = make_params(x, c)
+    with boundary.force_extended() if tie else contextlib.nullcontext():
+        members = wide_squarefree_set(pars, table_small)
+        got = list(inner_counts(iter(members), pars, table_small))
+    assert [(m, primes) for m, primes, _ in got] == members
+    for m, primes, count in got:
+        assert count == oracle.naive_chi_count(primes, x, c), (m, primes)
 
 
 def test_unmarked_against_brute_force():
@@ -454,12 +471,12 @@ def test_breakdown_never_holds_the_wide_set(table_1e6, monkeypatch, x, c, extend
     # sorted set and its inner counts by omega (c = 0.4 at 1e5: all wide)
     pars = make_params(x, c)
     members = wide_squarefree_set(pars, table_1e6)
-    rows = zip(members, inner_counts(members, pars, table_1e6))
+    rows = inner_counts(members, pars, table_1e6)
     want = []
-    for k, layer in groupby(rows, key=lambda row: row[0].k):
+    for k, layer in groupby(rows, key=lambda row: len(row[1])):
         layer = list(layer)
         want.append(LayerCount(
-            k, len(layer), sum(n for _, n in layer), math.fsum(1.0 / w.m for w, _ in layer)
+            k, len(layer), sum(n for _, _, n in layer), math.fsum(1.0 / m for m, _, _ in layer)
         ))
 
     def held(*args):
@@ -557,13 +574,13 @@ def test_force_extended_reaches_every_window(table_small, monkeypatch):
 
 
 def test_window_density_trivial(table_small, pars30):
-    by_m = {w.m: w for w in wide_squarefree_set(pars30, table_small)}
+    by_m = {w[0]: w for w in wide_squarefree_set(pars30, table_small)}
     prod, pred = window_coprime_density(by_m[1], pars30, table_small)
     assert prod == 1.0 and pred == 1.0
 
 
 def test_window_density_m5(table_small, pars30):
-    by_m = {w.m: w for w in wide_squarefree_set(pars30, table_small)}
+    by_m = {w[0]: w for w in wide_squarefree_set(pars30, table_small)}
     prod, pred = window_coprime_density(by_m[5], pars30, table_small)
     assert prod == pytest.approx(6 / 7, rel=1e-15)
     assert pred == pytest.approx(1 / pars30.gap_exp, rel=1e-15)
@@ -571,7 +588,7 @@ def test_window_density_m5(table_small, pars30):
 
 def test_window_density_mertens_spot(table_1e6):
     pars = make_params(10**6, 1.0)
-    by_m = {w.m: w for w in wide_squarefree_set(pars, table_1e6)}
+    by_m = {w[0]: w for w in wide_squarefree_set(pars, table_1e6)}
     prod, pred = window_coprime_density(by_m[53], pars, table_1e6)
     assert abs(prod * pars.gap_exp - 1.0) <= 4.0 / math.log(53)
     # independent recomputation of the product over the window primes
@@ -611,7 +628,7 @@ def test_tuple_sum_rejects_negative_k(table_small, pars30):
 def test_tuple_sum_agrees_with_layer_membership(table_small, pars30):
     members = wide_squarefree_set(pars30, table_small)
     for k in (1, 2, 3):
-        direct = math.fsum(1.0 / w.m for w in members if w.k == k)
+        direct = math.fsum(1.0 / m for m, primes in members if len(primes) == k)
         assert tuple_reciprocal_sum(pars30, k, table_small) == pytest.approx(
             direct, rel=1e-13
         )

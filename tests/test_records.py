@@ -8,7 +8,6 @@ from factorgaps.counting import (
     CountParams,
     DirectCounts,
     LayerCount,
-    WideSquarefree,
 )
 from factorgaps.gaps import GapProfile
 from factorgaps.sieve import Factorization
@@ -33,8 +32,6 @@ RECORDS = [
      lambda: dict(x=1000, c=1.0, gap_exp=1.93, small_prime_bound=35.6), {}),
     (DirectCounts, ("n_direct", "n_direct_gapform", "smooth_gap_count"),
      lambda: dict(n_direct=7, n_direct_gapform=9, smooth_gap_count=2), {}),
-    (WideSquarefree, ("m", "primes"),
-     lambda: dict(m=2 * 11 * 1009, primes=(2, 11, 1009)), dict(k=3)),
     (LayerCount, ("k", "m_count", "count", "recip_sum"),
      lambda: dict(k=2, m_count=3, count=20, recip_sum=1 / 3), {}),
     (CountBreakdown,
