@@ -763,6 +763,7 @@ STDOUT_DIGESTS = {
     "enumerate-m --x 1000000 --c 1": "261ad30f66513b81",
     "enumerate-m --x 9007199254740990 --c 1": "ececdb1d21d25414",
     "verify --x-max 300": "8b4874738081e6b3",
+    "verify": "e908ce8fd965b8b7",
 }
 
 
