@@ -103,10 +103,11 @@ def naive_N(x: int, c: float) -> int:
 
 def naive_chi_count(m_primes: tuple[int, ...], x: int, c: float) -> int:
     """Count n <= x for which every prime in m_primes passes the
-    lone-divisor test, by definition."""
-    m_primes = tuple(m_primes)
+    lone-divisor test, by definition; _chi fails unless p | n, so only
+    the multiples of every p in m_primes are walked."""
+    step = math.lcm(*m_primes)
     count = 0
-    for n in range(1, x + 1):
+    for n in range(step, x + 1, step):
         primes = naive_factorize(n).primes
         if all(_chi(primes, p, n, x, c) for p in m_primes):
             count += 1

@@ -592,7 +592,7 @@ def test_enumerate_m_x_past_2_53_refused_before_any_allocation(monkeypatch):
             dict(x=200_000_000, c_values=(1.0,), allow_large=True, out="c.json"),
         ),
         ("enumerate-m --x 3000 --c 0.5", dict(x=3000, c_values=(0.5,), allow_large=False)),
-        ("verify --x-max 300 --seed 7", dict(x_max=300, seed=7, c_values=())),
+        ("verify", dict(c_values=())),
     ],
 )
 def test_flags_reach_run_config(monkeypatch, argv, fields):
@@ -676,38 +676,37 @@ def test_density_csv():
 # ---------------------------------------------------------------- verify
 
 
-def test_verify_small_grid_passes():
-    ok, results = run_verification(x_max=100, seed=20)
+@pytest.fixture(scope="module")
+def verification():
+    return run_verification()
+
+
+def test_verify_small_grid_passes(verification):
+    ok, results = verification
     assert ok
     assert all(flag for _, flag, _ in results)
 
 
 def test_verify_cli_exit_zero():
-    rc, text = run_cli("verify", "--x-max", "100")
+    rc, text = run_cli("verify")
     assert rc == 0
     assert "OK:" in text
     assert "FAIL" not in text.split("OK:")[0].replace("FAILED", "")
 
 
-@pytest.mark.parametrize("x_max", ["10", "-5", "29"])
-def test_verify_x_max_below_grid_refused(x_max):
-    # below the smallest grid x no identity or count check would run
-    assert run_cli("verify", "--x-max", x_max) == (2, "")
-
-
 def test_verify_stdout_reproducible(capsys):
-    # elapsed time goes to stderr, so stdout depends on the inputs only
-    first = run_cli("verify", "--x-max", "30")
-    second = run_cli("verify", "--x-max", "30")
+    # elapsed time goes to stderr, so stdout is the same on every run
+    first = run_cli("verify")
+    second = run_cli("verify")
     assert first == second
     assert first[1].splitlines()[-1].endswith(" checks passed")
     assert "verify took" in capsys.readouterr().err
 
 
-def test_verify_cross_checks_scan_against_count(monkeypatch):
-    ok, results = run_verification(x_max=100, seed=20)
+def test_verify_cross_checks_scan_against_count(verification, monkeypatch):
+    ok, results = verification
     names = {name for name, _, _ in results if name.startswith("scan-count")}
-    assert ok and len(names) == 6
+    assert ok and len(names) == len(cli.VERIFY_GRID_X) * len(cli.VERIFY_GRID_C) == 15
     # an exceedance count off by one in the scan must fail every such check
     true_scan_range = cli.scan_range
 
@@ -717,7 +716,7 @@ def test_verify_cross_checks_scan_against_count(monkeypatch):
         return s
 
     monkeypatch.setattr(cli, "scan_range", faulty)
-    _, results = run_verification(x_max=100, seed=20)
+    _, results = run_verification()
     assert names <= {name for name, flag, _ in results if not flag}
 
 
@@ -733,9 +732,9 @@ def test_verify_negative_control(monkeypatch):
         return true_le_power(q, p, x, c)
 
     monkeypatch.setattr(boundary, "le_power", faulty)
-    ok, results = run_verification(x_max=100, seed=20)
+    ok, results = run_verification()
     assert not ok
-    rc, text = run_cli("verify", "--x-max", "100")
+    rc, text = run_cli("verify")
     assert rc == 1
     assert "FAIL" in text
 
@@ -762,7 +761,6 @@ STDOUT_DIGESTS = {
     "count --x 100000 --c 2": "6ce6091f6f0922c9",
     "enumerate-m --x 1000000 --c 1": "261ad30f66513b81",
     "enumerate-m --x 9007199254740990 --c 1": "ececdb1d21d25414",
-    "verify --x-max 300": "8b4874738081e6b3",
     "verify": "e908ce8fd965b8b7",
 }
 

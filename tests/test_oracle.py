@@ -44,6 +44,21 @@ def test_naive_chi_count_examples():
     assert oracle.naive_chi_count((2, 13), 30, 1.0) == 1
 
 
+@pytest.mark.parametrize("c", [0.3, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("x", [30, 100, 300])
+def test_naive_chi_count_matches_every_n_loop(x, c):
+    # naive_chi_count walks only the multiples of its primes; the literal
+    # definition tests every n <= x. The repeated prime (3, 3) is why the
+    # step is their lcm and not their product.
+    facts = [oracle.naive_factorize(n) for n in range(1, x + 1)]
+    cases = [primes for _, primes in oracle.naive_wide_squarefree(x, c)] + [(), (3, 3)]
+    for m_primes in cases:
+        want = sum(
+            all(oracle._chi(f.primes, p, f.n, x, c) for p in m_primes) for f in facts
+        )
+        assert oracle.naive_chi_count(m_primes, x, c) == want, m_primes
+
+
 def test_naive_wide_squarefree_30():
     got = oracle.naive_wide_squarefree(30, 1.0)
     assert [m for m, _ in got] == [1, 2, 3, 5, 7, 11, 13, 6, 10, 14, 15, 21, 22, 26, 30]
