@@ -746,6 +746,9 @@ def test_verify_negative_control(monkeypatch):
 STDOUT_DIGESTS = {
     "scan --min 16 --max 300000 --c 0.5,1,2": "11d4e0eb6fd47be2",
     "scan --min 16 --max 300000 --c 0.5,1,2 --mode range --format csv": "79f435a43e9a842b",
+    "scan --min 16 --max 300000 --c 0.5,1,2 --format csv": "d0a4357dff4cffe7",
+    # no eligible n: the law prints nan
+    "scan --min 16 --max 18 --c 1 --format csv": "88eacbecd9ade5f5",
     "scan --min 2147400000 --max 2147600000 --c 0.5,1,2 --segment-size 65536":
         "3f6acc670d72452a",
     "density --min 16 --max 300000 --c 0.25,0.5,1,2,4": "9a02f2198f7cc873",
