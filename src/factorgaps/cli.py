@@ -1,10 +1,11 @@
 """Command-line front end: scans, density tables, counting breakdowns,
 wide-squarefree listings, and self-verification.
 
-All machine output (JSON or CSV) goes to stdout unless --out is given;
-diagnostics go to stderr. Reals are rendered with 17 significant digits
-so files round-trip exactly. Exit codes: 0 success, 1 verification
-failure, 2 usage error or failed write, 3 capacity error.
+Handlers return their text (JSON or CSV) and exit code; main alone writes
+it, to stdout unless --out is given, after any diagnostics on stderr. Reals
+have 17 significant digits so files round-trip exactly. Exit codes: 0
+success, 1 failed verification or identity check, 2 usage error or failed
+write (by any command), 3 capacity error.
 """
 
 from __future__ import annotations
@@ -170,6 +171,17 @@ def _finite(v: float) -> Optional[float]:
     return v if math.isfinite(v) else None
 
 
+def _csv(meta: dict, cols: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """``# key=value`` lines, the columns, then the rows; reals with 17 digits, None as nan."""
+
+    def cell(v) -> str:
+        return "nan" if v is None else fmt_real(v) if isinstance(v, float) else str(v)
+
+    lines = [f"# {k}={cell(v)}" for k, v in meta.items()]
+    lines += [",".join(cols)] + [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def emit(text: str | Iterable[str], out: Optional[str], stdout) -> None:
     """Write text, or each of an iterable's strings as it comes, to --out or stdout."""
     chunks = [text] if isinstance(text, str) else text
@@ -252,38 +264,27 @@ def summary_payload(s: gaps.ScanSummary) -> dict:
 
 
 def summary_csv(s: gaps.ScanSummary) -> str:
-    lines = [f"# range={s.a}:{s.b}", f"# mode={s.mode}"]
+    meta = {"range": f"{s.a}:{s.b}", "mode": s.mode}
     if s.range_point is not None:
-        lines.append(f"# range_point={s.range_point}")
-    lines.append(f"# total={s.total}")
-    lines.append(f"# eligible={s.eligible}")
-    lines += [f"# {k}={'nan' if v is None else fmt_real(v)}" for k, v in _law(s).items()]
-    for c in s.thresholds:
-        lines.append(f"# exceed_{fmt_real(c)}={s.exceed[c]}")
-    lines.append("bin_lo,bin_hi,count")
-    lines.append(f"-inf,{fmt_real(HIST_LO)},{int(s.hist[0])}")
-    for i in range(HIST_BINS):
-        lo = HIST_LO + i * HIST_WIDTH
-        hi = HIST_LO + (i + 1) * HIST_WIDTH
-        lines.append(f"{fmt_real(lo)},{fmt_real(hi)},{int(s.hist[i + 1])}")
-    lines.append(f"{fmt_real(HIST_LO + HIST_BINS * HIST_WIDTH)},inf,{int(s.hist[-1])}")
-    return "\n".join(lines) + "\n"
+        meta["range_point"] = s.range_point
+    meta |= {"total": s.total, "eligible": s.eligible, **_law(s)}
+    meta |= {f"exceed_{fmt_real(c)}": s.exceed[c] for c in s.thresholds}
+    edges = ["-inf", *gaps._EDGES.tolist(), "inf"]
+    return _csv(meta, ("bin_lo", "bin_hi", "count"), zip(edges, edges[1:], s.hist.tolist()))
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (text, exit code) for main to write, text a
+# string or an iterable of strings written as they come
 
 
-def cmd_scan(cfg: RunConfig, stdout) -> int:
+def cmd_scan(cfg: RunConfig):
     s = run_scan(cfg)
-    if cfg.fmt == "json":
-        emit(render_json(summary_payload(s)) + "\n", cfg.out, stdout)
-    else:
-        emit(summary_csv(s), cfg.out, stdout)
-    return 0
+    text = render_json(summary_payload(s)) + "\n" if cfg.fmt == "json" else summary_csv(s)
+    return text, 0
 
 
-def cmd_density(cfg: RunConfig, stdout) -> int:
+def cmd_density(cfg: RunConfig):
     """One row per c with the empirical exceedance share under both
     threshold conventions, against the limiting density. Only the
     exceedances are counted; the histogram and law of t(n) are scan's."""
@@ -299,31 +300,24 @@ def cmd_density(cfg: RunConfig, stdout) -> int:
         theo = theoretical_density(c)
         sums = [partial_alternating_sum(c, K) for K in range(9)]
         rows.append(((c, emp, emp_n, emp_r, theo, emp - theo), sums))
-    if cfg.fmt == "json":
-        payload = {
-            "range": [cfg.lo, cfg.hi],
-            "mode": cfg.mode,
-            "eligible": per_n.eligible,
-            # 1 / (c^k k!) overflows for tiny c: a non-finite sum renders null
-            "rows": [
-                dict(zip(cols, vals), partial_sums=[_finite(v) for v in sums])
-                for vals, sums in rows
-            ],
-        }
-        emit(render_json(payload) + "\n", cfg.out, stdout)
-    else:
-        lines = [
-            f"# range={cfg.lo}:{cfg.hi}",
-            f"# mode={cfg.mode}",
-            f"# eligible={per_n.eligible}",
-            ",".join(cols + tuple(f"partial_K{k}" for k in range(9))),
-        ]
-        lines += [",".join(fmt_real(v) for v in (*vals, *sums)) for vals, sums in rows]
-        emit("\n".join(lines) + "\n", cfg.out, stdout)
-    return 0
+    if cfg.fmt == "csv":
+        meta = {"range": f"{cfg.lo}:{cfg.hi}", "mode": cfg.mode, "eligible": per_n.eligible}
+        cols += tuple(f"partial_K{k}" for k in range(9))
+        return _csv(meta, cols, (vals + tuple(sums) for vals, sums in rows)), 0
+    payload = {
+        "range": [cfg.lo, cfg.hi],
+        "mode": cfg.mode,
+        "eligible": per_n.eligible,
+        # 1 / (c^k k!) overflows for tiny c: a non-finite sum renders null
+        "rows": [
+            dict(zip(cols, vals), partial_sums=[_finite(v) for v in sums])
+            for vals, sums in rows
+        ],
+    }
+    return render_json(payload) + "\n", 0
 
 
-def cmd_count(cfg: RunConfig, stdout) -> int:
+def cmd_count(cfg: RunConfig):
     x, c = cfg.x, cfg.c_values[0]
     pars = make_params(x, c)
     # factorize needs reach >= isqrt(x); every window min(p**E, x // p) of the
@@ -368,24 +362,18 @@ def cmd_count(cfg: RunConfig, stdout) -> int:
         "N_inclusion_exclusion": bd.n_inclusion_exclusion,
         "identity_check": "PASS" if identity_ok else "FAIL",
     }
-    emit(render_json(payload) + "\n", cfg.out, stdout)
     if not identity_ok:
-        print(
-            f"FAIL identity: N_inclusion_exclusion={bd.n_inclusion_exclusion} "
-            f"!= N_direct={bd.n_direct}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        print(f"FAIL identity: N_inclusion_exclusion={bd.n_inclusion_exclusion} "
+              f"!= N_direct={bd.n_direct}", file=sys.stderr)
+    return render_json(payload) + "\n", 0 if identity_ok else 1
 
 
-def cmd_enumerate_m(cfg: RunConfig, stdout) -> int:
+def cmd_enumerate_m(cfg: RunConfig):
     x, c = cfg.x, cfg.c_values[0]
     pars = make_params(x, c)
     table = build_prime_table(math.ceil(boundary.root_search_bound(x, c)))
     rows = (f"{len(ps)},{m},{' '.join(map(str, ps))}\n" for m, ps in wide_members(pars, table))
-    emit(chain(["k,m,primes\n"], rows), cfg.out, stdout)
-    return 0
+    return chain(["k,m,primes\n"], rows), 0
 
 
 # ----------------------------------------------------------------------
@@ -547,21 +535,15 @@ def run_verification():
     return all_ok, results
 
 
-def cmd_verify(cfg: RunConfig, stdout) -> int:
+def cmd_verify(cfg: RunConfig):
     t0 = time.perf_counter()
     all_ok, results = run_verification()
-    for name, ok, detail in results:
-        if ok:
-            stdout.write(f"PASS {name}\n")
-        else:
-            stdout.write(f"FAIL {name}: {detail}\n")
-    n_ok = sum(1 for _, ok, _ in results)
-    stdout.write(
-        f"{'OK' if all_ok else 'FAILED'}: {n_ok}/{len(results)} checks passed\n"
-    )
+    lines = [f"PASS {n}\n" if ok else f"FAIL {n}: {d}\n" for n, ok, d in results]
+    n_ok = sum(ok for _, ok, _ in results)
+    lines.append(f"{'OK' if all_ok else 'FAILED'}: {n_ok}/{len(results)} checks passed\n")
     # the elapsed time varies run to run, so it stays out of stdout
     print(f"verify took {time.perf_counter() - t0:.1f}s", file=sys.stderr)
-    return 0 if all_ok else 1
+    return lines, 0 if all_ok else 1
 
 
 # ----------------------------------------------------------------------
@@ -642,14 +624,15 @@ HANDLERS = {
 def main(argv=None, stdout=None) -> int:
     # the imports' heap lives to the end: no collection, at exit or in a worker, walks it
     gc.freeze()
-    stdout = stdout or sys.stdout
     try:
         ns = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         cfg = config_from_args(ns)
-        return HANDLERS[cfg.subcommand](cfg, stdout)
+        text, rc = HANDLERS[cfg.subcommand](cfg)
+        emit(text, cfg.out, stdout or sys.stdout)
+        return rc
     except (UsageError, EmptySampleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -150,30 +150,52 @@ def _cli_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
-def test_closed_stdout_pipe_is_one_error_line():
+def _write_error(rc, err, argv):
+    """The one stderr line of a failed write, after verify's timing line."""
+    lines = err.splitlines()
+    assert rc == 2 and "Traceback" not in err
+    assert len(lines) == 1 + (argv[0] == "verify")
+    assert all(line.startswith("verify took ") for line in lines[:-1])
+    return lines[-1]
+
+
+@pytest.mark.parametrize("argv,first", [
     # the reader takes one row and closes the pipe while rows still stream
+    (("enumerate-m", "--x", "1000000", "--c", "0.5"), b"k,m,primes\n"),
+    # the pipe is closed before verify writes anything
+    (("verify",), None),
+], ids=["enumerate-m", "verify"])
+def test_closed_stdout_pipe_is_one_error_line(argv, first):
     with subprocess.Popen(
-        [sys.executable, "-m", "factorgaps.cli", "enumerate-m", "--x", "1000000", "--c", "0.5"],
+        [sys.executable, "-m", "factorgaps.cli", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
     ) as proc:
-        assert proc.stdout.readline() == b"k,m,primes\n"
+        if first:
+            assert proc.stdout.readline() == first
         proc.stdout.close()
         err = proc.stderr.read().decode()
-    assert proc.returncode == 2
-    assert "Traceback" not in err
-    assert err.splitlines() == ["error: cannot write stdout: [Errno 32] Broken pipe"]
+    assert _write_error(proc.returncode, err, argv) == (
+        "error: cannot write stdout: [Errno 32] Broken pipe")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_full_stdout_is_one_error_line():
+@pytest.mark.parametrize("argv", [
+    ("scan", "--min", "16", "--max", "1000", "--c", "1"),
+    ("scan", "--min", "16", "--max", "1000", "--c", "1", "--format", "csv"),
+    ("density", "--min", "16", "--max", "1000", "--c", "1"),
+    ("density", "--min", "16", "--max", "1000", "--c", "1", "--format", "csv"),
+    ("count", "--x", "1000", "--c", "1"),
+    ("enumerate-m", "--x", "1000", "--c", "1"),
+    ("verify",),
+], ids=["scan-json", "scan-csv", "density-json", "density-csv", "count", "enumerate-m", "verify"])
+def test_full_stdout_is_one_error_line(argv):
     with open("/dev/full", "w") as full:
         res = subprocess.run(
-            [sys.executable, "-m", "factorgaps.cli", "count", "--x", "1000", "--c", "1"],
+            [sys.executable, "-m", "factorgaps.cli", *argv],
             stdout=full, stderr=subprocess.PIPE, text=True, env=_cli_env(),
         )
-    assert res.returncode == 2
-    err = res.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: cannot write stdout: ")
+    assert _write_error(res.returncode, res.stderr, argv).startswith(
+        "error: cannot write stdout: ")
 
 
 @pytest.mark.parametrize(
@@ -736,7 +758,10 @@ def test_verify_negative_control(monkeypatch):
     assert not ok
     rc, text = run_cli("verify")
     assert rc == 1
-    assert "FAIL" in text
+    lines = text.splitlines()
+    n_pass = sum(line.startswith("PASS ") for line in lines)
+    assert n_pass < len(results) == len(lines) - 1
+    assert lines[-1] == f"FAILED: {n_pass}/{len(results)} checks passed"
 
 
 # ---------------------------------------------------------------- output digests

@@ -1,5 +1,4 @@
 import functools
-import io
 import json
 import math
 import random
@@ -1124,10 +1123,10 @@ def test_empirical_density_report(table_small):
         lo, hi = sorted((sums[K], sums[K + 1]))
         assert lo - 1e-15 <= lim <= hi + 1e-15
     # the density row reports exactly these values
-    out = io.StringIO()
     cfg = cli.RunConfig(subcommand="density", lo=16, hi=100_000, c_values=(0.5, 1.0))
-    assert cli.cmd_density(cfg, out) == 0
-    row = next(r for r in json.loads(out.getvalue())["rows"] if r["c"] == 1.0)
+    text, rc = cli.cmd_density(cfg)
+    assert rc == 0
+    row = next(r for r in json.loads(text)["rows"] if r["c"] == 1.0)
     assert row["empirical"] == empirical
     assert row["theoretical"] == theoretical
     assert row["deviation"] == empirical - theoretical
@@ -1141,7 +1140,7 @@ def test_empirical_density_errors(table_small):
     for mode in (MODE_PER_N, MODE_PER_RANGE):
         cfg = cli.RunConfig(subcommand="density", lo=16, hi=17, c_values=(1.0,), mode=mode)
         with pytest.raises(EmptySampleError):
-            cli.cmd_density(cfg, io.StringIO())
+            cli.cmd_density(cfg)
 
 
 def test_pinned_density_at_1e6(table_small):
