@@ -772,6 +772,9 @@ STDOUT_DIGESTS = {
     "scan --min 16 --max 300000 --c 0.5,1,2": "11d4e0eb6fd47be2",
     "scan --min 16 --max 300000 --c 0.5,1,2 --mode range --format csv": "79f435a43e9a842b",
     "scan --min 16 --max 300000 --c 0.5,1,2 --format csv": "d0a4357dff4cffe7",
+    # 0.25 ln ln n < 1 throughout; 0.4 ln ln n crosses 1 near n = 195 000
+    "scan --min 16 --max 300000 --c 0.25,0.4,1": "f20e4ba5d470ab76",
+    "scan --min 16 --max 300000 --c 0.25,0.4,1 --mode range": "dfec9ece9e99610c",
     # no eligible n: the law prints nan
     "scan --min 16 --max 18 --c 1 --format csv": "88eacbecd9ade5f5",
     "scan --min 2147400000 --max 2147600000 --c 0.5,1,2 --segment-size 65536":
