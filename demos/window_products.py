@@ -16,10 +16,10 @@ import math
 from factorgaps import (
     build_prime_table,
     make_params,
-    tuple_reciprocal_sum,
     wide_squarefree_set,
     window_coprime_density,
 )
+from factorgaps.counting import tuple_reciprocal_sum
 
 
 def window_table(x):

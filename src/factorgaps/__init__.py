@@ -30,13 +30,11 @@ from .gaps import (
     theoretical_density,
 )
 from .counting import (
-    count_isolated_set,
     direct_counts,
     inclusion_exclusion,
     inner_counts,
     is_gap_form,
     make_params,
-    tuple_reciprocal_sum,
     wide_squarefree_set,
     window_coprime_density,
 )
@@ -54,13 +52,11 @@ __all__ = [
     "partial_alternating_sum",
     "scan_range",
     "theoretical_density",
-    "count_isolated_set",
     "direct_counts",
     "inclusion_exclusion",
     "inner_counts",
     "is_gap_form",
     "make_params",
-    "tuple_reciprocal_sum",
     "wide_squarefree_set",
     "window_coprime_density",
     "__version__",

@@ -125,6 +125,8 @@ class RunConfig:
         out_dir = os.path.dirname(os.path.abspath(self.out)) if self.out else None
         if out_dir and not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
             raise UsageError(f"cannot write --out: {out_dir} is not a writable directory")
+        if self.out and os.path.isdir(self.out):
+            raise UsageError(f"cannot write --out: {self.out} is a directory")
         if not 1 <= self.segment_size <= gaps.MAX_SEGMENT_SIZE:
             raise UsageError(
                 f"--segment-size must be in [1, {gaps.MAX_SEGMENT_SIZE}]"
@@ -285,9 +287,9 @@ def cmd_scan(cfg: RunConfig):
 
 
 def cmd_density(cfg: RunConfig):
-    """One row per c with the empirical exceedance share under both
-    threshold conventions, against the limiting density. Only the
-    exceedances are counted; the histogram and law of t(n) are scan's."""
+    """One row per c with the exceedance share under both conventions, and
+    ``empirical`` and ``deviation`` per-n, against the limiting density. Only
+    the exceedances are counted; the histogram and law of t(n) are scan's."""
     per_n = run_scan(cfg, distribution=False, mode=MODE_PER_N)
     per_range = run_scan(cfg, distribution=False, mode=MODE_PER_RANGE)
     if not per_n.eligible:
@@ -296,17 +298,16 @@ def cmd_density(cfg: RunConfig):
     rows = []
     for c in per_n.thresholds:
         emp_n, emp_r = (s.exceed[c] / s.eligible for s in (per_n, per_range))
-        emp = emp_n if cfg.mode == MODE_PER_N else emp_r
         theo = theoretical_density(c)
         sums = [partial_alternating_sum(c, K) for K in range(9)]
-        rows.append(((c, emp, emp_n, emp_r, theo, emp - theo), sums))
+        rows.append(((c, emp_n, emp_n, emp_r, theo, emp_n - theo), sums))
     if cfg.fmt == "csv":
-        meta = {"range": f"{cfg.lo}:{cfg.hi}", "mode": cfg.mode, "eligible": per_n.eligible}
+        meta = {"range": f"{cfg.lo}:{cfg.hi}", "mode": MODE_PER_N, "eligible": per_n.eligible}
         cols += tuple(f"partial_K{k}" for k in range(9))
         return _csv(meta, cols, (vals + tuple(sums) for vals, sums in rows)), 0
     payload = {
         "range": [cfg.lo, cfg.hi],
-        "mode": cfg.mode,
+        "mode": MODE_PER_N,
         "eligible": per_n.eligible,
         # 1 / (c^k k!) overflows for tiny c: a non-finite sum renders null
         "rows": [
@@ -576,7 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--min", dest="lo", metavar="MIN", type=int, required=True)
         p.add_argument("--max", dest="hi", metavar="MAX", type=int, required=True)
         p.add_argument("--c", dest="c_values", metavar="C", required=True, help=c_help)
-        p.add_argument("--mode", choices=("n", "range"), default="n")
+        if name == "scan":  # density prints both conventions
+            p.add_argument("--mode", choices=("n", "range"), default="n")
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")

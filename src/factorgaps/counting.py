@@ -223,7 +223,8 @@ def inner_counts(
 
 
 def count_isolated_set(member: Member, pars: CountParams, table: PrimeTable) -> int:
-    """C(m) for one member (m, primes); see :func:`inner_counts`."""
+    """C(m) for one member (m, primes); see :func:`inner_counts`. Kept only
+    because perfbench/layers.py wraps it by name; ROADMAP item 11 deletes it."""
     return next(inner_counts([member], pars, table))[2]
 
 
@@ -299,10 +300,9 @@ def window_coprime_density(
 
 
 def tuple_reciprocal_sum(pars: CountParams, k: int, table: PrimeTable) -> float:
-    """Sum of 1/(p_1 ... p_k) over ascending wide chains of small primes
-    with p_1 ... p_k <= x, i.e. over the wide squarefree m with omega(m)
-    = k (S_k of that layer). k = 0 gives the empty product, 1.
-    """
+    """Sum of 1/m over the wide squarefree m with omega(m) = k (S_k of that
+    layer; 1, the empty product, at k = 0). Kept as a name only because
+    perfbench/layers.py wraps it by name (ROADMAP item 11)."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return math.fsum(1.0 / m for m, primes in wide_members(pars, table) if len(primes) == k)

@@ -405,16 +405,17 @@ def scan_range(
     Each block of :func:`_walk` adds its counts to one summary. An
     ineligible n has ratio 0, which exceeds no (positive) bound, and is
     floored to the smallest normal double before the log, so its gap of
-    about -708 bins to the corrected underflow slot. Every eligible ratio
-    is at least 1, so a threshold with c * top * (1 + 1e-12) < 1, top the
-    ln ln of b - 1 (per-n) or of range_point, counts every eligible n with
-    no comparison (the margin covers np.log against math.log). No block
-    takes ln ln n per integer: math.log's at its first and last n, widened
-    by REDO_EPS, bound every n's. A per-n threshold counts ratio > c upper
-    as exceeding and ratio <= c lower as not; t is binned with ln upper for
-    ln ln ln n, at most 20 (ln upper - ln lower) bins low. The n left open
-    are redone in batches with the per-integer float operations, and the
-    counts take the difference: every outcome is the per-integer one.
+    about -708 bins to the corrected underflow slot. No block takes ln ln n
+    per integer: math.log's at its first and last n, widened by REDO_EPS,
+    bound every n's as lower and upper; t is binned with ln upper for
+    ln ln ln n, at most 20 (ln upper - ln lower) bins low. Per block, with
+    (low, high) = (lower, upper) per-n or ln ln range_point twice per-range,
+    a threshold counts every eligible n if c high < 1 (every eligible ratio
+    exceeds 1; this also keeps a negative bound, range_point < e, from
+    counting ratio 0), else ratio > c high as exceeding and ratio <= c low
+    as not. The n left open are redone in batches with the per-integer
+    float operations, and the counts take the difference: every outcome is
+    the per-integer one.
     """
     if not ELIGIBLE_FLOOR <= a < b <= MAX_SCAN_END:
         raise ValueError(f"need {ELIGIBLE_FLOOR} <= a < b <= 2**53, got [{a}, {b})")
@@ -437,25 +438,24 @@ def scan_range(
         hist=np.zeros(HIST_BINS + 2, dtype=np.int64) if distribution else None,
         exceed=dict.fromkeys(thr, 0),
     )
-    top = math.log(math.log(b - 1 if mode == MODE_PER_N else range_point))
-    decided = [c for c in thr if c * top * (1 + 1e-12) >= 1]
-    redo = _Redo(s, [c for c in decided if mode == MODE_PER_N])
+    fixed = None if mode == MODE_PER_N else math.log(math.log(range_point))
+    redo = _Redo(s, thr if fixed is None else ())
     for ws, start, slot, _, ratio, _ in _walk(a, b, table, segment_size):
         buf, bins, mask = (x[: ratio.size] for x in (ws.buf, ws.bins, ws.masks[0]))
         block_eligible = int(np.count_nonzero(np.greater(ratio, 0, out=mask)))
         s.eligible += block_eligible
         lower = math.log(math.log(start)) * (1 - REDO_EPS)
         upper = math.log(math.log(start + ratio.size - 1)) * (1 + REDO_EPS)
+        low, high = (lower, upper) if fixed is None else (fixed, fixed)
         flags = None  # the n the bounds leave open
         for c in s.thresholds:
-            if c not in decided:
+            if c * high < 1:  # every eligible ratio exceeds 1
                 s.exceed[c] += block_eligible
                 continue
-            bound = c * upper if mode == MODE_PER_N else c * top
-            above = int(np.count_nonzero(np.greater(ratio, bound, out=mask)))
+            above = int(np.count_nonzero(np.greater(ratio, c * high, out=mask)))
             s.exceed[c] += above
-            if mode == MODE_PER_N and np.count_nonzero(ratio > c * lower) > above:
-                band = (ratio > c * lower) & (ratio <= bound)
+            if low < high and np.count_nonzero(ratio > c * low) > above:
+                band = (ratio > c * low) & (ratio <= c * high)
                 flags = band if flags is None else flags | band
         if distribution:  # slot (0 the underflow) and position in it, from ln upper
             gap = np.log(np.maximum(ratio, TINY, out=buf), out=buf)

@@ -21,12 +21,12 @@ from factorgaps import (
     partial_alternating_sum,
     scan_range,
     theoretical_density,
-    tuple_reciprocal_sum,
     wide_squarefree_set,
     window_coprime_density,
 )
 from factorgaps import oracle
 from factorgaps.cli import main
+from factorgaps.counting import tuple_reciprocal_sum
 from factorgaps.gaps import DEFAULT_SEGMENT_SIZE, MODE_PER_RANGE, _walk
 
 GRID_X = (30, 100, 300, 1000, 2000)

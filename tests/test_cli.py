@@ -126,13 +126,14 @@ def test_density_extreme_c_prints_strict_json(c):
 @pytest.mark.parametrize("argv", [
     ("scan", "--min", "16", "--max", "100", "--c", "1"),
     ("count", "--x", "30", "--c", "1"),
+    ("density", "--min", "16", "--max", "100", "--c", "1"),
 ])
 def test_unwritable_out_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
     # refused before any work: no prime table is built
     monkeypatch.setattr(cli, "build_prime_table", lambda limit: pytest.fail("table"))
     (tmp_path / "a-file").write_text("")
-    for parent in ("missing", "a-file"):
-        rc, text = run_cli(*argv, "--out", str(tmp_path / parent / "x.json"))
+    for out in (tmp_path / "missing" / "x.json", tmp_path / "a-file" / "x.json", tmp_path):
+        rc, text = run_cli(*argv, "--out", str(out))
         assert (rc, text) == (2, "")
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
@@ -537,12 +538,21 @@ def test_non_finite_c_refused_before_any_table(monkeypatch, capsys, argv, c):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_density_without_eligible_integers_is_a_usage_error(capsys, fmt):
     # 16 and 17 have one prime factor each; scan reports null moments there
+    argv = ("--min", "16", "--max", "18", "--c", "1", "--format", fmt)
+    assert run_cli("density", *argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     for mode in ("n", "range"):
-        argv = ("--min", "16", "--max", "18", "--c", "1", "--format", fmt, "--mode", mode)
-        assert run_cli("density", *argv) == (2, "")
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert run_cli("scan", *argv)[0] == 0
+        assert run_cli("scan", *argv, "--mode", mode)[0] == 0
+
+
+@pytest.mark.parametrize("mode", ["n", "range"])
+def test_density_has_no_mode_flag(monkeypatch, capsys, mode):
+    # density prints both conventions; --mode is scan's
+    monkeypatch.setattr(cli, "build_prime_table", lambda limit: pytest.fail("table"))
+    assert run_cli("density", "--min", "16", "--max", "100", "--c", "1", "--mode", mode) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "unrecognized arguments: --mode" in err
 
 
 @pytest.mark.parametrize("cmd", ["scan", "density"])
@@ -638,11 +648,10 @@ def test_capacity_error_exit_code(monkeypatch):
 
 
 def test_density_rows():
-    rc, text = run_cli(
-        "density", "--min", "16", "--max", "100000", "--c", "2,0.5,1", "--mode", "range"
-    )
+    rc, text = run_cli("density", "--min", "16", "--max", "100000", "--c", "2,0.5,1")
     assert rc == 0
     doc = json.loads(text)
+    assert doc["mode"] == MODE_PER_N
     cs = [row["c"] for row in doc["rows"]]
     assert cs == sorted(cs)
     emp = [row["empirical"] for row in doc["rows"]]
@@ -652,7 +661,7 @@ def test_density_rows():
     assert one["empirical_per_n"] != one["empirical_per_range"]
     for row in doc["rows"]:
         c = row["c"]
-        assert row["empirical"] == row["empirical_per_range"]
+        assert row["empirical"] == row["empirical_per_n"]
         assert row["theoretical"] == theoretical_density(c)
         assert row["deviation"] == row["empirical"] - row["theoretical"]
         assert row["partial_sums"] == [partial_alternating_sum(c, K) for K in range(9)]
@@ -780,9 +789,6 @@ STDOUT_DIGESTS = {
     "scan --min 2147400000 --max 2147600000 --c 0.5,1,2 --segment-size 65536":
         "3f6acc670d72452a",
     "density --min 16 --max 300000 --c 0.25,0.5,1,2,4": "9a02f2198f7cc873",
-    "density --min 16 --max 300000 --c 0.25,0.5,1,2,4 --mode range --format csv":
-        "3718bcd5bbf056e1",
-    "density --min 16 --max 300000 --c 0.25,0.5,1,2,4 --mode range": "1b3a72326169d80d",
     "density --min 16 --max 300000 --c 0.25,0.5,1,2,4 --format csv": "582e6f252493eb5d",
     # partial sums past K = 1 overflow: null in JSON, inf and nan in CSV
     "density --min 16 --max 1000 --c 1e-300": "38fc4d14362b0a36",

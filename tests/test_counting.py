@@ -11,7 +11,6 @@ from factorgaps import (
     InsufficientTableError,
     boundary,
     build_prime_table,
-    count_isolated_set,
     direct_counts,
     factorize,
     inclusion_exclusion,
@@ -20,12 +19,11 @@ from factorgaps import (
     make_params,
     primes_in_power_interval,
     scan_range,
-    tuple_reciprocal_sum,
     wide_squarefree_set,
     window_coprime_density,
 )
 from factorgaps import counting, oracle
-from factorgaps.counting import LayerCount
+from factorgaps.counting import LayerCount, count_isolated_set, tuple_reciprocal_sum
 from factorgaps.gaps import MODE_PER_RANGE
 
 

@@ -739,10 +739,22 @@ def test_scan_mode_per_range(table_small):
     assert a.exceed != b.exceed
 
 
-def test_scan_per_range_bound_below_zero(table_small):
-    # c ln ln 2 < 0: every eligible n exceeds it, and no ineligible one
-    s = scan_range(16, 5_000, [1.0], table_small, mode=MODE_PER_RANGE, range_point=2)
-    assert s.exceed == {1.0: s.eligible}
+def per_range_exceed(a, b, c, range_point, table):
+    """The eligible n in [a, b) whose ratio exceeds c ln ln range_point, one
+    integer at a time."""
+    bound = c * math.log(math.log(range_point))
+    ratios = (gap_profile(factorize(n, table)).ratio for n in range(a, b))
+    return sum(r is not None and r > bound for r in ratios)
+
+
+@pytest.mark.parametrize("c", [1.0, 1.5])
+@pytest.mark.parametrize("range_point", [2, 10])
+def test_scan_per_range_bound_below_zero(table_small, range_point, c):
+    # c ln ln 2 < 0 and ln ln 10 = 0.83: every eligible n exceeds these bounds,
+    # and no ineligible one, except 1.5 ln ln 10 = 1.25, which takes a comparison
+    s = scan_range(16, 5_000, [c], table_small, mode=MODE_PER_RANGE, range_point=range_point)
+    assert s.exceed == {c: per_range_exceed(16, 5_000, c, range_point, table_small)}
+    assert (s.exceed[c] == s.eligible) == (c * math.log(math.log(range_point)) < 1)
 
 
 def test_scan_exceed_monotone_in_c(table_small):
@@ -858,12 +870,14 @@ def test_exceedance_only_scan_equals_full_scan(a, length, segment_size, mode, th
     assert only.hist is None
 
 
-def test_exceedance_only_per_range_bound_below_zero(table_small):
-    # test_scan_per_range_bound_below_zero's range, without the histogram
-    kw = dict(mode=MODE_PER_RANGE, range_point=2)
-    s = scan_range(16, 5_000, [1.0], table_small, **kw, distribution=False)
-    assert s.exceed == {1.0: s.eligible}
-    assert exceedances_equal(s, scan_range(16, 5_000, [1.0], table_small, **kw))
+@pytest.mark.parametrize("c", [1.0, 1.5])
+@pytest.mark.parametrize("range_point", [2, 10])
+def test_exceedance_only_per_range_bound_below_zero(table_small, range_point, c):
+    # test_scan_per_range_bound_below_zero's cases, without the histogram
+    kw = dict(mode=MODE_PER_RANGE, range_point=range_point)
+    s = scan_range(16, 5_000, [c], table_small, **kw, distribution=False)
+    assert s.exceed == {c: per_range_exceed(16, 5_000, c, range_point, table_small)}
+    assert exceedances_equal(s, scan_range(16, 5_000, [c], table_small, **kw))
 
 
 @settings(max_examples=25, deadline=None)
@@ -952,6 +966,16 @@ def check_against_reference(a, b, thresholds, table, mode, segment_size=1 << 18)
          thresholds=[1.0], block=7, batch=3)
 @example(a=10**5, length=3000, segment_size=5000, mode=MODE_PER_N, thresholds=[1.0],
          block=2**15, batch=2**12)  # bounds 0.021 bins apart
+# 0.4 ln ln n crosses 1 near n = 195 700, inside [194 000, 214 000) as one block
+# or many; 210 677 is the first n above it whose ratio, 1.0014, does not exceed
+@example(a=194_000, length=20_000, segment_size=2**15, mode=MODE_PER_N,
+         thresholds=[0.25, 0.4, 1.0], block=2**15, batch=64)
+@example(a=194_000, length=20_000, segment_size=2**15, mode=MODE_PER_N,
+         thresholds=[0.25, 0.4, 1.0], block=64, batch=64)
+@example(a=194_000, length=20_000, segment_size=2**15, mode=MODE_PER_RANGE,
+         thresholds=[0.25, 0.4, 1.0], block=2**15, batch=64)
+@example(a=194_000, length=20_000, segment_size=2**15, mode=MODE_PER_RANGE,
+         thresholds=[0.25, 0.4, 1.0], block=64, batch=64)
 def test_block_bounds_equal_per_integer_scan(
     a, length, segment_size, mode, thresholds, block, batch
 ):
@@ -1137,10 +1161,9 @@ def test_empirical_density_errors(table_small):
     s = scan_range(16, 100, [1.0], table_small)
     assert 3.0 not in s.exceed  # only configured thresholds are counted
     assert scan_range(16, 17, [1.0], table_small).eligible == 0
-    for mode in (MODE_PER_N, MODE_PER_RANGE):
-        cfg = cli.RunConfig(subcommand="density", lo=16, hi=17, c_values=(1.0,), mode=mode)
-        with pytest.raises(EmptySampleError):
-            cli.cmd_density(cfg)
+    cfg = cli.RunConfig(subcommand="density", lo=16, hi=17, c_values=(1.0,))
+    with pytest.raises(EmptySampleError):
+        cli.cmd_density(cfg)
 
 
 def test_pinned_density_at_1e6(table_small):
